@@ -27,7 +27,10 @@ class FiniteAbelianGroup:
     __slots__ = ("orders", "order", "_elements")
 
     def __init__(self, orders: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP):
-        orders = tuple(int(d) for d in orders)
+        try:
+            orders = tuple(int(d) for d in orders)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"cyclic factor orders must be integers: {exc}") from exc
         if not orders or any(d < 1 for d in orders):
             raise ValidationError(f"cyclic factor orders must be >= 1, got {list(orders)}")
         order = math.prod(orders)
@@ -48,7 +51,10 @@ class FiniteAbelianGroup:
         return self._elements
 
     def check(self, x) -> Element:
-        x = tuple(int(c) for c in x)
+        try:
+            x = tuple(int(c) for c in x)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"element coordinates must be integers: {exc}") from exc
         if len(x) != len(self.orders) or any(not 0 <= c < d for c, d in zip(x, self.orders)):
             raise ValidationError(f"{x} is not an element of {self!r}")
         return x

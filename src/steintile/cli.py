@@ -122,13 +122,8 @@ def _tiling_result_json(res) -> dict:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="steintile", description=__doc__)
-    parser.add_argument("--json", action="store_true",
-                        help="JSON output (the default; accepted for symmetry)")
     parser.add_argument("--pretty", action="store_true", help="indented JSON")
     parser.add_argument("--csv", action="store_true", help="CSV output where supported")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("STEINTILE_THREADS", "1")),
-                        help="worker hint; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     cop = sub.add_parser("copula").add_subparsers(dest="action", required=True)
@@ -381,8 +376,6 @@ def run(argv) -> RunResult:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise ValidationError("--threads must be >= 1")
         params, result, csv_text = _dispatch(args)
         return RunResult(f"{args.command} {args.action}", params, result, 0,
                          csv_text=csv_text, pretty=args.pretty)

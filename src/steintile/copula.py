@@ -1,8 +1,9 @@
 """Calculus of nonnegative m x n matrices with all row sums n and column sums m.
 
 Contains validation, the explicit small-support constructions (all-ones column
-with staircase blocks; gcd-many northwest-corner blocks), exact transportation
-feasibility by integral max-flow, and the exhaustive minimal-support solver.
+with staircase blocks; gcd-many northwest-corner blocks), the minimal support
+size in closed form, and the exhaustive minimal-support search with exact
+transportation feasibility by integral max-flow, kept as its test oracle.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import CapExceededError, ValidationError
 from .rationals import format_rational
 
 DEFAULT_SEARCH_CAP = 8
+CONSTRUCTION_CAP = 10**6  # most entries an explicit m x n construction may build
 
 
 @dataclass(frozen=True)
@@ -92,38 +94,14 @@ class SupportPattern:
             rows[i].append(j)
         return [tuple(r) for r in rows]
 
-    def canonical(self) -> "SupportPattern":
-        """Alternately sort rows and columns by (degree, support) until stable.
-
-        If the alternation cycles, the lexicographically smallest pattern on
-        the cycle is returned, which makes canonicalization idempotent.
-        """
-        state = self
-        seen: dict[frozenset, int] = {}
-        trail = []
-        while state.edges not in seen:
-            seen[state.edges] = len(trail)
-            trail.append(state)
-            state = state._sort_rows()._sort_cols()
-        cycle = trail[seen[state.edges]:]
-        return min(cycle, key=lambda p: p.sorted_edges)
-
-    def _sort_rows(self) -> "SupportPattern":
-        rows = self.row_supports()
-        order = sorted(range(self.m), key=lambda i: (len(rows[i]), rows[i]))
-        relabel = {old: new for new, old in enumerate(order)}
-        return SupportPattern(self.m, self.n, frozenset((relabel[i], j) for i, j in self.edges))
-
-    def _sort_cols(self) -> "SupportPattern":
-        cols = [[] for _ in range(self.n)]
-        for i, j in self.sorted_edges:
-            cols[j].append(i)
-        order = sorted(range(self.n), key=lambda j: (len(cols[j]), cols[j]))
-        relabel = {old: new for new, old in enumerate(order)}
-        return SupportPattern(self.m, self.n, frozenset((i, relabel[j]) for i, j in self.edges))
-
     def to_json(self) -> dict:
         return {"m": self.m, "n": self.n, "edges": [list(e) for e in self.sorted_edges]}
+
+
+def _check_construction_size(m: int, n: int) -> None:
+    if m * n > CONSTRUCTION_CAP:
+        raise CapExceededError(
+            f"a {m}x{n} matrix has more than {CONSTRUCTION_CAP} entries")
 
 
 def construct_lmr(m: int, k: int) -> CopulaMatrix:
@@ -135,6 +113,7 @@ def construct_lmr(m: int, k: int) -> CopulaMatrix:
     if m < 2 or k < 1:
         raise ValidationError("need m >= 2 and k >= 1")
     n = k * m + 1
+    _check_construction_size(m, n)
     entries = []
     for i in range(m):
         row = [Fraction(0)] * n
@@ -150,9 +129,10 @@ def construct_nw_blocks(m: int, n: int) -> CopulaMatrix:
     northwest-corner rule; support size is exactly m + n - gcd(m,n)."""
     if m < 1 or n < 1:
         raise ValidationError("need m, n >= 1")
+    _check_construction_size(m, n)
     g = math.gcd(m, n)
     mb, nb = m // g, n // g
-    entries = [[Fraction(0)] * n for _ in range(m)]
+    entries = [[0] * n for _ in range(m)]
     for b in range(g):
         r0, c0 = b * mb, b * nb
         supply = [n] * mb
@@ -160,7 +140,7 @@ def construct_nw_blocks(m: int, n: int) -> CopulaMatrix:
         i = j = 0
         while i < mb and j < nb:
             d = min(supply[i], demand[j])
-            entries[r0 + i][c0 + j] = Fraction(d)
+            entries[r0 + i][c0 + j] = d
             supply[i] -= d
             demand[j] -= d
             if supply[i] == 0:
@@ -168,6 +148,52 @@ def construct_nw_blocks(m: int, n: int) -> CopulaMatrix:
             if demand[j] == 0:
                 j += 1
     return validate([tuple(r) for r in entries], m, n)
+
+
+def support_lower_bound(m: int, n: int) -> int:
+    """max(m*ceil(n/m), n*ceil(m/n)): entries are capped by the opposite
+    margin, so each row needs ceil(n/m) nonzeros and each column ceil(m/n)."""
+    return max(m * (-(-n // m)), n * (-(-m // n)))
+
+
+@dataclass(frozen=True)
+class MinSupportResult:
+    S: int
+    pattern: SupportPattern
+    witness: CopulaMatrix
+
+
+def min_support_exact(m: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> MinSupportResult:
+    """Exact minimum support size S(m, n) = m + n - gcd(m, n) over all
+    matrices with the (m, n) margins; the witness is construct_nw_blocks.
+
+    Lower bound. A feasible matrix stays feasible when its support shrinks to
+    that of a basic feasible solution of the transportation polytope, and
+    basic supports are forests in the bipartite row/column graph. All margins
+    are positive, so no node of the forest is isolated. A tree with r rows
+    and c columns carries total mass r*n = c*m, so r is a multiple of m/g and
+    c of n/g, where g = gcd(m, n): every tree has at least (m + n)/g nodes,
+    and there are at most g trees. A forest has as many edges as nodes minus
+    trees, so the support has at least m + n - g entries. The northwest-corner
+    blocks attain this bound, one tree per block.
+
+    `cap` bounds the output size only; a single row or column is never
+    refused, so the exit codes match those of min_support_search.
+    """
+    if m < 1 or n < 1:
+        raise ValidationError("need m, n >= 1")
+    if min(m, n) > 1 and max(m, n) > cap:
+        raise CapExceededError(f"margins ({m},{n}) exceed search cap {cap}")
+    witness = construct_nw_blocks(m, n)
+    return MinSupportResult(m + n - math.gcd(m, n), witness.support_pattern(), witness)
+
+
+def min_support_grid(ms, ns, cap: int = DEFAULT_SEARCH_CAP) -> dict:
+    """S(m, n) for every pair in ms x ns, as {(m, n): S}."""
+    return {(m, n): min_support_exact(m, n, cap=cap).S for m in ms for n in ns}
+
+
+# ---------------------------------------------------------------- search oracle
 
 
 @dataclass(frozen=True)
@@ -259,12 +285,6 @@ def transportation_feasible(pattern: SupportPattern, m: int | None = None,
     return TransportationFeasibility(True, witness)
 
 
-def support_lower_bound(m: int, n: int) -> int:
-    """max(m*ceil(n/m), n*ceil(m/n)): entries are capped by the opposite
-    margin, so each row needs ceil(n/m) nonzeros and each column ceil(m/n)."""
-    return max(m * (-(-n // m)), n * (-(-m // n)))
-
-
 def _degree_sequences(m, s, lo, hi):
     """Nondecreasing degree tuples of length m within [lo, hi] summing to s."""
     def rec(i, prev, left):
@@ -333,15 +353,8 @@ def _patterns_of_size(m, n, s):
         yield from fill(0, 0, 0)
 
 
-@dataclass(frozen=True)
-class MinSupportResult:
-    S: int
-    pattern: SupportPattern
-    witness: CopulaMatrix
-
-
-def min_support_exact(m: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> MinSupportResult:
-    """Exact minimum support size over all matrices with the (m, n) margins.
+def min_support_search(m: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> MinSupportResult:
+    """Oracle for min_support_exact by exhaustive search.
 
     Searches candidate sizes upward from support_lower_bound; at each size
     enumerates row-sorted support patterns and tests exact transportation
@@ -357,7 +370,7 @@ def min_support_exact(m: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> MinSuppo
     if max(m, n) > cap:
         raise CapExceededError(f"margins ({m},{n}) exceed search cap {cap}")
     if m > n:
-        res = min_support_exact(n, m, cap=cap)
+        res = min_support_search(n, m, cap=cap)
         pat = SupportPattern(m, n, frozenset((j, i) for i, j in res.pattern.edges))
         return MinSupportResult(res.S, pat, res.witness.transpose())
     for s in range(support_lower_bound(m, n), m * n + 1):
@@ -366,8 +379,3 @@ def min_support_exact(m: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> MinSuppo
             if feas:
                 return MinSupportResult(s, pattern, feas.witness)
     raise RuntimeError("unreachable: the full pattern is always feasible")
-
-
-def min_support_grid(ms, ns, cap: int = DEFAULT_SEARCH_CAP) -> dict:
-    """S(m, n) for every pair in ms x ns, as {(m, n): S}."""
-    return {(m, n): min_support_exact(m, n, cap=cap).S for m in ms for n in ns}

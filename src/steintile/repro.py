@@ -42,18 +42,21 @@ def criterion_1() -> dict:
 
 
 def criterion_2() -> dict:
-    """S(m, km+1) = (k+1)m for m in {2,3,4}, k in {1,2}; the staircase
-    construction attains it."""
+    """S(m, km+1) = (k+1)m for m in {2,3,4}, k in {1,2}, by the closed form
+    and by the exhaustive search; the staircase construction attains it."""
     cases = []
     ok = True
     for m in (2, 3, 4):
         for k in (1, 2):
             n = k * m + 1
             expected = (k + 1) * m
-            res = copula.min_support_exact(m, n, cap=max(copula.DEFAULT_SEARCH_CAP, n))
+            cap = max(copula.DEFAULT_SEARCH_CAP, n)
+            S = copula.min_support_exact(m, n, cap=cap).S
+            S_search = copula.min_support_search(m, n, cap=cap).S
             built = copula.construct_lmr(m, k)
-            case_ok = res.S == expected and built.support_size == expected
-            cases.append({"m": m, "n": n, "expected": expected, "S": res.S,
+            case_ok = S == S_search == expected and built.support_size == expected
+            cases.append({"m": m, "n": n, "expected": expected, "S": S,
+                          "search": S_search,
                           "construction_support": built.support_size})
             ok = ok and case_ok
     return {"criterion": 2, "label": "S(m,km+1) = (k+1)m and staircase attains it",
@@ -61,7 +64,8 @@ def criterion_2() -> dict:
 
 
 def criterion_3() -> dict:
-    """Margin solver equals the brute-force LP oracle on Z_m x Z_n, 2<=m,n<=5."""
+    """Closed-form margin solver equals the brute-force LP oracle on
+    Z_m x Z_n, 2<=m,n<=5."""
     cases = []
     ok = True
     for m in range(2, 6):
@@ -76,18 +80,20 @@ def criterion_3() -> dict:
 
 
 def criterion_4() -> dict:
-    """For 2<=m,n<=6 the solver terminates with
-    support_lower_bound <= S <= m+n-gcd(m,n)."""
+    """For 2<=m,n<=6 the exhaustive search and the closed form agree on
+    S = m+n-gcd(m,n), with support_lower_bound <= S."""
     cases = []
     ok = True
     for m in range(2, 7):
         for n in range(2, 7):
             S = copula.min_support_exact(m, n).S
+            S_search = copula.min_support_search(m, n).S
             lo = copula.support_lower_bound(m, n)
             hi = m + n - math.gcd(m, n)
-            cases.append({"m": m, "n": n, "S": S, "lower": lo, "nw_upper": hi})
-            ok = ok and lo <= S <= hi
-    return {"criterion": 4, "label": "open-question probe table, 2<=m,n<=6",
+            cases.append({"m": m, "n": n, "S": S, "search": S_search,
+                          "lower": lo, "nw_upper": hi})
+            ok = ok and S_search == S == hi and lo <= S
+    return {"criterion": 4, "label": "search S = closed form m+n-gcd, 2<=m,n<=6",
             "pass": ok, "cases": cases}
 
 
@@ -242,14 +248,14 @@ def criterion_10() -> dict:
     ok = exact[2] == Fraction(1, 2) and exact[3] == Fraction(7, 15)
     ok = ok and exact[5] == Fraction(47, 105)
     ok = ok and exact[10] == Fraction(1895, 4199)
+    sieved = {N: density.multiples_count_sieve(N, X) for N in (*range(1, 13), 25, 50)}
     agreement = []
     for N in range(1, 13):
-        diff = abs(density.multiples_count_sieve(N, X) - exact[N] * X)
+        diff = abs(sieved[N] - exact[N] * X)
         agreement.append({"N": N, "abs_error": format_rational(diff),
                           "bound": 2 ** N})
         ok = ok and diff <= 2 ** N
-    trend = [Fraction(density.multiples_count_sieve(N, X), X)
-             for N in (5, 10, 25, 50)]
+    trend = [Fraction(sieved[N], X) for N in (5, 10, 25, 50)]
     ok = ok and trend[-1] < trend[0]
     decreasing = all(a > b for a, b in zip(trend, trend[1:]))
     return {"criterion": 10, "label": "density identities, sieve agreement, trend",
@@ -356,7 +362,7 @@ ALL_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 
 
 def run_all(out_dir: str) -> dict:
-    """Run every criterion, write one JSON report each plus the probe table as
+    """Run every criterion, write one JSON report each plus the S(m, n) table as
     CSV, and return a summary."""
     os.makedirs(out_dir, exist_ok=True)
     summary = {"criteria": {}, "all_pass": True}

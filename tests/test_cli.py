@@ -142,10 +142,27 @@ def test_error_documents_are_json():
     assert json.loads(cli.render(rr))["result"]["kind"] == "cap"
 
 
-def test_threads_flag_does_not_change_output():
-    a = cli.render(cli.run(["pp1d", "bound", "--alpha", "2/3"]))
-    b = cli.render(cli.run(["--threads", "4", "pp1d", "bound", "--alpha", "2/3"]))
-    assert a == b
+def test_removed_global_flags_are_rejected():
+    for flags in (["--threads", "4"], ["--json"]):
+        rr = cli.run(flags + ["pp1d", "bound", "--alpha", "2/3"])
+        assert rr.exit_code == 2
+        assert json.loads(cli.render(rr))["result"]["kind"] == "validation"
+
+
+def test_malformed_group_function_is_a_validation_error():
+    for function in ('{"group":"ab","values":[]}',
+                     '{"group":[4],"values":[{"at":["x"],"v":"1"}]}'):
+        rr = cli.run(["group", "tile-check", "--function", function, "--gens", "[[1]]"])
+        assert rr.exit_code == 2
+        assert json.loads(cli.render(rr))["result"]["kind"] == "validation"
+
+
+def test_construction_cap():
+    for argv in (["--family", "nw", "-m", "1000", "-n", "1001"],
+                 ["--family", "lmr", "-m", "1000", "-k", "1"]):
+        rr = cli.run(["copula", "construct"] + argv)
+        assert rr.exit_code == 3
+        assert json.loads(cli.render(rr))["result"]["kind"] == "cap"
 
 
 def test_pretty_and_csv_modes():

@@ -1,5 +1,4 @@
 import math
-import random
 
 import pytest
 
@@ -117,30 +116,27 @@ def test_min_support_symmetry():
         assert copula.min_support_exact(m, n).S == copula.min_support_exact(n, m).S
 
 
-def test_canonical_idempotent_and_orbit_preserving():
-    rng = random.Random(7)
-    for _ in range(200):
-        m = rng.randrange(1, 6)
-        n = rng.randrange(1, 6)
-        size = rng.randrange(1, m * n + 1)
-        cells = [(i, j) for i in range(m) for j in range(n)]
-        edges = frozenset(rng.sample(cells, size))
-        pat = copula.SupportPattern(m, n, edges)
-        canon = pat.canonical()
-        assert canon.canonical() == canon
-        # degrees are a permutation invariant
-        def degs(p):
-            rd = sorted(sum(1 for i, j in p.edges if i == r) for r in range(p.m))
-            cd = sorted(sum(1 for i, j in p.edges if j == c) for c in range(p.n))
-            return rd, cd
-        assert degs(canon) == degs(pat)
-        assert canon.size == pat.size
+def test_min_support_exact_equals_search():
+    for m in range(1, 7):
+        for n in range(1, 7):
+            assert copula.min_support_exact(m, n).S == copula.min_support_search(m, n).S
 
 
-def test_canonical_example_fixpoint():
-    pat = copula.SupportPattern(2, 3, frozenset({(1, 2), (0, 0), (1, 0)}))
-    canon = pat.canonical()
-    assert canon.sorted_edges == ((0, 2), (1, 1), (1, 2))
+def test_min_support_exact_witness_attains_formula():
+    for m in range(1, 41):
+        for n in range(1, 41):
+            res = copula.min_support_exact(m, n, cap=40)
+            copula.validate(res.witness.entries, m, n)
+            assert res.S == m + n - math.gcd(m, n)
+            assert res.witness.support_size == res.S
+            assert res.pattern == res.witness.support_pattern()
+
+
+def test_min_support_exact_single_row_or_column():
+    for m, n in [(1, 1), (1, 9), (9, 1), (1, 50)]:
+        res = copula.min_support_exact(m, n)
+        assert res.S == m * n
+        assert all(v == 1 for row in res.witness.entries for v in row)
 
 
 def test_witness_deterministic():
