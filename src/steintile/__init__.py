@@ -6,7 +6,6 @@ point enters any assertion-bearing path.
 
 from .abelian import (
     FiniteAbelianGroup,
-    QuotientGroup,
     Subgroup,
     crt_iso,
     cyclic_subgroups,
@@ -30,7 +29,7 @@ from .group_tiling import (
     TilingCertificate,
     TilingFailure,
     common_fundamental_domain,
-    lift_tile,
+    discrete_to_continuous,
     min_support,
     min_support_bruteforce,
     multiple_construction,
@@ -51,7 +50,6 @@ from .pp1d import (
     RationalPiecewisePoly,
     convolution_tile,
     convolve,
-    discrete_to_continuous,
     fold,
     indicator,
     steinhaus_lb,

@@ -2,9 +2,9 @@
 
 Groups are direct products of cyclic groups, modeled by full element
 enumeration (desk scale only, guarded by a configurable cap). Elements are
-integer tuples, one coordinate per cyclic factor. Quotients are tables of
-lexicographically smallest coset representatives, so every operation is
-deterministic across runs.
+integer tuples, one coordinate per cyclic factor. A quotient G/H is a coset
+table: a dict sending every element of G to the lexicographically smallest
+member of its coset, so every operation is deterministic across runs.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ValidationError
 
@@ -21,16 +21,36 @@ Element = tuple[int, ...]
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
+def _as_ints(xs, what: str) -> tuple[int, ...]:
+    """The integer rule for group orders and element coordinates: a list of
+    ints or decimal-integer strings. Booleans, floats and a bare string are
+    refused, never truncated or split into digits."""
+    if isinstance(xs, str):
+        raise ValidationError(f"{what} must be a list, got {xs!r}")
+    try:
+        xs = list(xs)
+    except TypeError as exc:
+        raise ValidationError(f"{what} must be a list: {exc}") from exc
+    out = []
+    for x in xs:
+        if isinstance(x, str):
+            try:
+                x = int(x)
+            except ValueError:
+                pass
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValidationError(f"{what} must be integers, got {x!r}")
+        out.append(x)
+    return tuple(out)
+
+
 class FiniteAbelianGroup:
     """Z_{d1} x ... x Z_{dk} with componentwise addition modulo d_i."""
 
     __slots__ = ("orders", "order", "_elements")
 
     def __init__(self, orders: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP):
-        try:
-            orders = tuple(int(d) for d in orders)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"cyclic factor orders must be integers: {exc}") from exc
+        orders = _as_ints(orders, "cyclic factor orders")
         if not orders or any(d < 1 for d in orders):
             raise ValidationError(f"cyclic factor orders must be >= 1, got {list(orders)}")
         order = math.prod(orders)
@@ -51,10 +71,7 @@ class FiniteAbelianGroup:
         return self._elements
 
     def check(self, x) -> Element:
-        try:
-            x = tuple(int(c) for c in x)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"element coordinates must be integers: {exc}") from exc
+        x = _as_ints(x, "element coordinates")
         if len(x) != len(self.orders) or any(not 0 <= c < d for c, d in zip(x, self.orders)):
             raise ValidationError(f"{x} is not an element of {self!r}")
         return x
@@ -82,7 +99,7 @@ class Subgroup:
 
     __slots__ = ("parent", "elements", "generators", "_members")
 
-    def __init__(self, parent: "GroupLike", elements: Iterable[Element], generators: Iterable[Element]):
+    def __init__(self, parent: FiniteAbelianGroup, elements: Iterable[Element], generators: Iterable[Element]):
         self.parent = parent
         self.elements = tuple(sorted(elements))
         self.generators = tuple(generators)
@@ -110,74 +127,12 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
-class QuotientGroup:
-    """parent/kernel, modeled on lexicographically smallest coset representatives.
-
-    Representatives form a group under (x, y) -> reduce(x + y); this object
-    exposes the same elements()/add/neg/zero surface as FiniteAbelianGroup so
-    that subgroup and quotient machinery works on either.
-    """
-
-    __slots__ = ("parent", "kernel", "representatives", "_table")
-
-    def __init__(self, parent: "GroupLike", kernel: Subgroup,
-                 representatives: tuple[Element, ...], table: dict):
-        self.parent = parent
-        self.kernel = kernel
-        self.representatives = representatives
-        self._table = table
-
-    @property
-    def order(self) -> int:
-        return len(self.representatives)
-
-    @property
-    def zero(self) -> Element:
-        return self._table[self.parent.zero]
-
-    def elements(self) -> tuple[Element, ...]:
-        return self.representatives
-
-    def reduce(self, x: Element) -> Element:
-        """Representative of the coset of x (x is any parent element)."""
-        try:
-            return self._table[x]
-        except KeyError:
-            raise ValidationError(f"{x} is not an element of the quotient's parent group") from None
-
-    def check(self, x) -> Element:
-        x = tuple(int(c) for c in x)
-        if self._table.get(x) != x:
-            raise ValidationError(f"{x} is not a coset representative of {self!r}")
-        return x
-
-    def add(self, x: Element, y: Element) -> Element:
-        return self._table[self.parent.add(x, y)]
-
-    def neg(self, x: Element) -> Element:
-        return self._table[self.parent.neg(x)]
-
-    def __eq__(self, other):
-        if not isinstance(other, QuotientGroup):
-            return NotImplemented
-        return self.parent == other.parent and self.kernel.elements == other.kernel.elements
-
-    def __hash__(self):
-        return hash((self.parent, self.kernel.elements))
-
-    def __repr__(self):
-        return f"QuotientGroup({self.parent!r} / kernel of order {self.kernel.order})"
-
-
-GroupLike = Union[FiniteAbelianGroup, QuotientGroup]
-
-
 def make_group(orders: Sequence[int], cap: int = DEFAULT_ENUMERATION_CAP) -> FiniteAbelianGroup:
     """Construct Z_{d1} x ... x Z_{dk}; the product of orders must stay under cap."""
     return FiniteAbelianGroup(orders, cap=cap)
 
 
-def _closure(G: GroupLike, gens: Sequence[Element]) -> set[Element]:
+def _closure(G: FiniteAbelianGroup, gens: Sequence[Element]) -> set[Element]:
     elems = {G.zero}
     frontier = [G.zero]
     while frontier:
@@ -192,28 +147,28 @@ def _closure(G: GroupLike, gens: Sequence[Element]) -> set[Element]:
     return elems
 
 
-def subgroup_from_generators(G: GroupLike, gens: Iterable[Element]) -> Subgroup:
+def subgroup_from_generators(G: FiniteAbelianGroup, gens: Iterable[Element]) -> Subgroup:
     """Smallest subgroup of G containing gens, fully enumerated."""
     gens = tuple(G.check(g) for g in gens)
     return Subgroup(G, _closure(G, gens), gens)
 
 
-def _require_subgroup_of(G: GroupLike, H: Subgroup, name: str = "subgroup") -> None:
+def _require_subgroup_of(G: FiniteAbelianGroup, H: Subgroup, name: str = "subgroup") -> None:
     if H.parent != G:
         raise ValidationError(f"{name} belongs to a different parent group")
 
 
-def subgroup_intersection(G: GroupLike, H1: Subgroup, H2: Subgroup) -> Subgroup:
+def subgroup_intersection(G: FiniteAbelianGroup, H1: Subgroup, H2: Subgroup) -> Subgroup:
     _require_subgroup_of(G, H1, "H1")
     _require_subgroup_of(G, H2, "H2")
     common = sorted(H1._members & H2._members)
     return Subgroup(G, common, tuple(common))
 
 
-def subgroup_sum(G: GroupLike, H1: Subgroup, H2: Subgroup) -> Subgroup:
+def subgroup_sum(G: FiniteAbelianGroup, H1: Subgroup, H2: Subgroup) -> Subgroup:
     _require_subgroup_of(G, H1, "H1")
     _require_subgroup_of(G, H2, "H2")
-    return subgroup_from_generators(G, H1.elements + H2.elements)
+    return subgroup_from_generators(G, H1.generators + H2.generators)
 
 
 @dataclass(frozen=True)
@@ -224,7 +179,7 @@ class SubgroupCalculus:
     index2: int
 
 
-def subgroup_calculus(G: GroupLike, H1: Subgroup, H2: Subgroup) -> SubgroupCalculus:
+def subgroup_calculus(G: FiniteAbelianGroup, H1: Subgroup, H2: Subgroup) -> SubgroupCalculus:
     """Intersection, join and indices of two subgroups of the same group."""
     inter = subgroup_intersection(G, H1, H2)
     total = subgroup_sum(G, H1, H2)
@@ -236,26 +191,18 @@ def subgroup_calculus(G: GroupLike, H1: Subgroup, H2: Subgroup) -> SubgroupCalcu
     )
 
 
-def quotient(G: GroupLike, H: Subgroup) -> QuotientGroup:
-    """G/H with each coset represented by its lexicographically smallest member."""
+def quotient(G: FiniteAbelianGroup, H: Subgroup) -> dict[Element, Element]:
+    """The coset table of G/H: every element of G maps to the lexicographically
+    smallest member of its coset, so the table's values are the coset
+    representatives and appear in ascending order."""
     _require_subgroup_of(G, H)
     table: dict[Element, Element] = {}
-    reps = []
-    for x in sorted(G.elements()):
-        if x in table:
-            continue
-        # first unvisited element in ascending order is the coset minimum
-        reps.append(x)
-        for h in H.elements:
-            table[G.add(x, h)] = x
-    return QuotientGroup(G, H, tuple(reps), table)
-
-
-def quotient_image(Q: QuotientGroup, H: Subgroup) -> Subgroup:
-    """Image of a subgroup of Q.parent inside the quotient Q."""
-    _require_subgroup_of(Q.parent, H)
-    gens = [Q.reduce(g) for g in (H.generators or H.elements)]
-    return subgroup_from_generators(Q, gens)
+    for x in G.elements():
+        if x not in table:
+            # first unvisited element in ascending order is the coset minimum
+            for h in H.elements:
+                table[G.add(x, h)] = x
+    return table
 
 
 @dataclass(frozen=True)
@@ -287,7 +234,7 @@ def crt_iso(m: int, n: int) -> CrtIsomorphism:
     return CrtIsomorphism(m, n)
 
 
-def cyclic_subgroups(G: GroupLike) -> tuple[Subgroup, ...]:
+def cyclic_subgroups(G: FiniteAbelianGroup) -> tuple[Subgroup, ...]:
     """All distinct nontrivial cyclic subgroups, deduplicated by element set."""
     seen: dict[tuple[Element, ...], Subgroup] = {}
     for g in G.elements():

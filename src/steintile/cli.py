@@ -55,12 +55,15 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [parse_rational(v) for v in str(text).split(",") if v.strip() != ""]
 
 
-def _parse_element_list(text: str) -> list[tuple[int, ...]]:
+def _parse_element_list(text: str) -> list[tuple]:
+    """A JSON list of lists; the group's check() validates the coordinates."""
     try:
         doc = json.loads(text)
-        return [tuple(int(c) for c in e) for e in doc]
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed element list {text!r}") from exc
+    if not isinstance(doc, list) or not all(isinstance(e, list) for e in doc):
+        raise ValidationError(f"malformed element list {text!r}")
+    return [tuple(e) for e in doc]
 
 
 def _parse_matrix(text: str) -> list[list[Fraction]]:
@@ -281,7 +284,7 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
             m, n = args.m, args.k * args.m + 1
             f = group_tiling.matrix_as_cyclic_tile(copula.construct_lmr(args.m, args.k))
             params = {"m": m, "k": args.k, "n": n, "source": "staircase"}
-        F = pp1d.discrete_to_continuous(f, m, n)
+        F = group_tiling.discrete_to_continuous(f, m, n)
         out = _pp_summary(F, [Fraction(m), Fraction(n)])
         out["source_values"] = f.to_json()
         return params, out, (pp1d.sample_csv(F, args.samples_per_unit) if args.csv else None)

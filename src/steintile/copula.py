@@ -18,6 +18,7 @@ from .rationals import format_rational
 
 DEFAULT_SEARCH_CAP = 8
 CONSTRUCTION_CAP = 10**6  # most entries an explicit m x n construction may build
+TABLE_CELL_CAP = 10**6  # most cells a min_support_grid table may have
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,13 @@ class MinSupportResult:
     witness: CopulaMatrix
 
 
+def _check_margins(m: int, n: int, cap: int) -> None:
+    if m < 1 or n < 1:
+        raise ValidationError("need m, n >= 1")
+    if min(m, n) > 1 and max(m, n) > cap:
+        raise CapExceededError(f"margins ({m},{n}) exceed search cap {cap}")
+
+
 def min_support_exact(m: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> MinSupportResult:
     """Exact minimum support size S(m, n) = m + n - gcd(m, n) over all
     matrices with the (m, n) margins; the witness is construct_nw_blocks.
@@ -180,17 +188,23 @@ def min_support_exact(m: int, n: int, cap: int = DEFAULT_SEARCH_CAP) -> MinSuppo
     `cap` bounds the output size only; a single row or column is never
     refused, so the exit codes match those of min_support_search.
     """
-    if m < 1 or n < 1:
-        raise ValidationError("need m, n >= 1")
-    if min(m, n) > 1 and max(m, n) > cap:
-        raise CapExceededError(f"margins ({m},{n}) exceed search cap {cap}")
+    _check_margins(m, n, cap)
     witness = construct_nw_blocks(m, n)
     return MinSupportResult(m + n - math.gcd(m, n), witness.support_pattern(), witness)
 
 
 def min_support_grid(ms, ns, cap: int = DEFAULT_SEARCH_CAP) -> dict:
-    """S(m, n) for every pair in ms x ns, as {(m, n): S}."""
-    return {(m, n): min_support_exact(m, n, cap=cap).S for m in ms for n in ns}
+    """S(m, n) = m + n - gcd(m, n) for every pair in ms x ns, as {(m, n): S};
+    each cell passes the same cap check as min_support_exact."""
+    if len(ms) * len(ns) > TABLE_CELL_CAP:
+        raise CapExceededError(
+            f"table of {len(ms)} x {len(ns)} cells exceeds cell cap {TABLE_CELL_CAP}")
+    grid = {}
+    for m in ms:
+        for n in ns:
+            _check_margins(m, n, cap)
+            grid[(m, n)] = m + n - math.gcd(m, n)
+    return grid
 
 
 # ---------------------------------------------------------------- search oracle

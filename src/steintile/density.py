@@ -79,9 +79,8 @@ def multiples_count_sieve(N: int, X: int, cap: int = DEFAULT_SIEVE_CAP) -> int:
     if X > cap:
         raise CapExceededError(f"X = {X} exceeds sieve cap {cap}")
     hit = bytearray(X + 1)
-    for q in range(N + 1, 2 * N + 1):
-        if q <= X:
-            hit[q::q] = b"\x01" * (X // q)
+    for q in range(N + 1, min(2 * N, X) + 1):
+        hit[q::q] = b"\x01" * (X // q)
     return sum(hit)
 
 

@@ -3,13 +3,15 @@
 A function f on G tiles with a subgroup H when every H-periodization sum is
 the same constant; normalized tiling means that constant equals |H|. The
 minimal common-tile support for a pair of subgroups is computed two ways: a
-pipeline that quotients by the intersection and solves the margin problem on
-the direct-sum part, and an independent brute-force oracle that enumerates
-support sets and decides each by exact rational LP feasibility.
+pipeline that reduces modulo the intersection and solves the margin problem
+on the direct-sum part, and an independent brute-force oracle that enumerates
+support sets and decides each by exact rational LP feasibility. Quotients are
+the coset tables of abelian.quotient; every function lives on G itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -19,18 +21,17 @@ from . import copula as copula_mod
 from .abelian import (
     Element,
     FiniteAbelianGroup,
-    GroupLike,
-    QuotientGroup,
     Subgroup,
     crt_iso,
     make_group,
     quotient,
-    quotient_image,
-    subgroup_calculus,
     subgroup_from_generators,
+    subgroup_intersection,
+    subgroup_sum,
 )
 from .errors import CapExceededError, ValidationError
 from .exactlp import feasible_nonnegative
+from .pp1d import RationalPiecewisePoly, from_segments
 from .rationals import format_rational, parse_rational
 
 DEFAULT_ORACLE_CAP = 36
@@ -41,7 +42,7 @@ class GroupFunction:
 
     __slots__ = ("group", "values")
 
-    def __init__(self, group: GroupLike, values: Mapping):
+    def __init__(self, group: FiniteAbelianGroup, values: Mapping):
         vals = {}
         for x, v in values.items():
             x = group.check(x)
@@ -76,8 +77,6 @@ class GroupFunction:
         return f"GroupFunction(on {self.group!r}, support={self.support_size})"
 
     def to_json(self) -> dict:
-        if not isinstance(self.group, FiniteAbelianGroup):
-            raise ValidationError("only functions on plain product groups serialize")
         return {
             "group": list(self.group.orders),
             "values": [{"at": list(x), "v": format_rational(v)} for x, v in self.values.items()],
@@ -87,7 +86,7 @@ class GroupFunction:
     def from_json(cls, doc: dict) -> "GroupFunction":
         try:
             group = make_group(doc["group"])
-            values = {tuple(item["at"]): parse_rational(item["v"]) for item in doc["values"]}
+            values = {group.check(item["at"]): parse_rational(item["v"]) for item in doc["values"]}
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed group-function document: {exc}") from exc
         return cls(group, values)
@@ -118,22 +117,20 @@ def tiling_level(f: GroupFunction, H: Subgroup) -> TilingResult:
     """Check whether sum_{g in H} f(x-g) is constant in x.
 
     The periodized sum at x equals the plain f-sum over the coset x + H, so
-    the check walks cosets; on failure the two witnesses are the smallest
-    coset representatives with differing sums.
+    the check sums f's support per coset of the table quotient(G, H); on
+    failure the two witnesses are the smallest coset representatives with
+    differing sums.
     """
     G = f.group
     if H.parent != G:
         raise ValidationError("subgroup belongs to a different group")
-    sums = []
-    visited = set()
-    for x in sorted(G.elements()):
-        if x in visited:
-            continue
-        coset = [G.add(x, h) for h in H.elements]
-        visited.update(coset)
-        sums.append((x, sum((f(c) for c in coset), Fraction(0))))
-    x0, s0 = sums[0]
-    for x, s in sums[1:]:
+    red = quotient(G, H)
+    sums = dict.fromkeys(red.values(), Fraction(0))
+    for x, v in f.values.items():
+        sums[red[x]] += v
+    x0 = G.zero  # the least representative
+    s0 = sums[x0]
+    for x, s in sums.items():
         if s != s0:
             return TilingFailure(H, x0, s0, x, s)
     return TilingCertificate(H, s0, s0 == H.order)
@@ -151,42 +148,22 @@ def _require_normalized(f: GroupFunction, H: Subgroup, what: str) -> None:
             f"{what}: tiling level {format_rational(res.level)} != |H| = {H.order}")
 
 
-@dataclass(frozen=True)
-class ProjectedTile:
-    quotient: QuotientGroup
-    sub1: Subgroup
-    sub2: Subgroup
-    function: GroupFunction
+def project_tile(f: GroupFunction, G1: Subgroup, G2: Subgroup) -> GroupFunction:
+    """Collapse f onto the least member of each (G1 n G2)-coset, which keeps
+    the coset's sum there.
 
-
-def project_tile(f: GroupFunction, G1: Subgroup, G2: Subgroup) -> ProjectedTile:
-    """Push f down to G/(G1 n G2) by averaging over the intersection.
-
-    The projected function tiles with the images of G1 and G2 at their
-    normalized levels, and its support is never larger than f's.
+    Every coset of G1 or G2 is a union of (G1 n G2)-cosets, so the result
+    tiles G1 and G2 at the same normalized levels, and its support is never
+    larger than f's.
     """
     G = f.group
     _require_normalized(f, G1, "first subgroup")
     _require_normalized(f, G2, "second subgroup")
-    calc = subgroup_calculus(G, G1, G2)
-    K = calc.intersection
-    Q = quotient(G, K)
-    values = {}
-    for rep in Q.representatives:
-        total = sum((f(G.add(rep, g)) for g in K.elements), Fraction(0))
-        if total:
-            values[rep] = total / K.order
-    return ProjectedTile(Q, quotient_image(Q, G1), quotient_image(Q, G2),
-                         GroupFunction(Q, values))
-
-
-def lift_tile(F: GroupFunction, G: GroupLike, kernel: Subgroup) -> GroupFunction:
-    """Inverse of projection: place |kernel| * F(rep) at the representative of
-    each coset, zero elsewhere; support size is preserved."""
-    Q = F.group
-    if not isinstance(Q, QuotientGroup) or Q.parent != G or Q.kernel.elements != kernel.elements:
-        raise ValidationError("function does not live on the quotient of G by the kernel")
-    return GroupFunction(G, {rep: kernel.order * v for rep, v in F.values.items()})
+    red = quotient(G, subgroup_intersection(G, G1, G2))
+    values: dict[Element, Fraction] = {}
+    for x, v in f.values.items():
+        values[red[x]] = values.get(red[x], Fraction(0)) + v
+    return GroupFunction(G, values)
 
 
 def multiple_construction(G1: Subgroup, G2: Subgroup) -> GroupFunction:
@@ -199,8 +176,7 @@ def multiple_construction(G1: Subgroup, G2: Subgroup) -> GroupFunction:
     G = G1.parent
     if G2.parent != G:
         raise ValidationError("subgroups belong to different groups")
-    calc = subgroup_calculus(G, G1, G2)
-    if calc.intersection.order != 1 or G1.order * G2.order != G.order:
+    if subgroup_intersection(G, G1, G2).order != 1 or G1.order * G2.order != G.order:
         raise ValidationError("group is not the internal direct sum of the subgroups")
     if G2.order % G1.order != 0:
         raise ValidationError(f"|G1| = {G1.order} does not divide |G2| = {G2.order}")
@@ -218,53 +194,56 @@ class MinSupportResult:
     witness: GroupFunction
 
 
-def _check_pair(G: GroupLike, G1: Subgroup, G2: Subgroup) -> None:
+def _check_pair(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup) -> None:
     if G1.parent != G or G2.parent != G:
         raise ValidationError("subgroups belong to a different group")
 
 
-def min_support(G: GroupLike, G1: Subgroup, G2: Subgroup,
+def min_support(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup,
                 copula_cap: int = copula_mod.DEFAULT_SEARCH_CAP) -> MinSupportResult:
     """Smallest support of a nonnegative f with f*1_{G1} = |G1|, f*1_{G2} = |G2|.
 
-    Pipeline: quotient by G1 n G2 (this preserves the answer), split over the
-    cosets of the image sum (the tiling equations never couple different
-    cosets), and solve the margin problem with m = |image of G1|, n = |image
-    of G2| inside each coset. The witness is lifted back to G and re-verified.
+    Pipeline: reduce modulo K = G1 n G2 (this preserves the answer), split
+    over the cosets of G1 + G2 (the tiling equations never couple different
+    cosets), and solve the margin problem with m = [G1 : K], n = [G2 : K]
+    inside each coset. Everything is built in G through the coset table of
+    G/K: the witness puts |K| times the margin entry (i, j) on the least
+    member of r + t1_i + t2_j + K, where r runs over the least members of the
+    (G1 + G2)-cosets and t1, t2 are the sorted reduced elements of G1, G2.
+    The witness is re-verified against both subgroups.
     """
     _check_pair(G, G1, G2)
-    calc = subgroup_calculus(G, G1, G2)
-    K = calc.intersection
-    Q = quotient(G, K)
-    Gam1 = quotient_image(Q, G1)
-    Gam2 = quotient_image(Q, G2)
-    m, n = Gam1.order, Gam2.order
+    K = subgroup_intersection(G, G1, G2)
+    m, n = G1.order // K.order, G2.order // K.order
     if max(m, n) > copula_cap:
         raise CapExceededError(
             f"reduced subgroup orders ({m},{n}) exceed the margin-search cap {copula_cap}")
-    sigma = subgroup_from_generators(Q, Gam1.elements + Gam2.elements)
-    cosets = quotient(Q, sigma)
+    red = quotient(G, K)
+    t1 = sorted({red[g] for g in G1.elements})
+    t2 = sorted({red[g] for g in G2.elements})
+    reps = sorted(set(quotient(G, subgroup_sum(G, G1, G2)).values()))
     plan = copula_mod.min_support_exact(m, n, cap=copula_cap)
-    S = cosets.order * plan.S
+    S = len(reps) * plan.S
 
-    g1s, g2s = Gam1.elements, Gam2.elements
     values = {}
-    for rep in cosets.representatives:
+    for r in reps:
         for i, j in plan.pattern.sorted_edges:
-            x = Q.add(rep, Q.add(g1s[i], g2s[j]))
-            assert x not in values
-            values[x] = plan.witness.entries[i][j]
-    F = GroupFunction(Q, values)
-    f = lift_tile(F, G, K)
+            x = red[G.add(r, G.add(t1[i], t2[j]))]
+            if x in values:
+                raise RuntimeError(f"unreachable: two margin entries land on {x}")
+            values[x] = K.order * plan.witness.entries[i][j]
+    f = GroupFunction(G, values)
 
-    assert f.support_size == S
-    assert S >= max(calc.index1, calc.index2)
+    if f.support_size != S:
+        raise RuntimeError(f"unreachable: witness support {f.support_size} != S = {S}")
+    if S < G.order // min(G1.order, G2.order):
+        raise RuntimeError(f"unreachable: S = {S} is below an index of the subgroups")
     _require_normalized(f, G1, "solver witness vs first subgroup")
     _require_normalized(f, G2, "solver witness vs second subgroup")
     return MinSupportResult(S, f)
 
 
-def min_support_bruteforce(G: GroupLike, G1: Subgroup, G2: Subgroup,
+def min_support_bruteforce(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup,
                            cap: int = DEFAULT_ORACLE_CAP) -> MinSupportResult:
     """Independent oracle: enumerate support sets of increasing size in
     lexicographic order and decide each candidate by exact rational LP
@@ -280,13 +259,13 @@ def min_support_bruteforce(G: GroupLike, G1: Subgroup, G2: Subgroup,
     N = G.order
     if N > cap:
         raise CapExceededError(f"group order {N} exceeds brute-force cap {cap}")
-    elems = sorted(G.elements())
+    elems = G.elements()
     q1, q2 = quotient(G, G1), quotient(G, G2)
-    rep_index1 = {rep: i for i, rep in enumerate(q1.representatives)}
-    rep_index2 = {rep: i for i, rep in enumerate(q2.representatives)}
-    id1 = [rep_index1[q1.reduce(x)] for x in elems]
-    id2 = [rep_index2[q2.reduce(x)] for x in elems]
-    k1, k2 = q1.order, q2.order
+    rep_index1 = {rep: i for i, rep in enumerate(sorted(set(q1.values())))}
+    rep_index2 = {rep: i for i, rep in enumerate(sorted(set(q2.values())))}
+    id1 = [rep_index1[q1[x]] for x in elems]
+    id2 = [rep_index2[q2[x]] for x in elems]
+    k1, k2 = len(rep_index1), len(rep_index2)
     vcap = min(G1.order, G2.order)
     need1 = -(-G1.order // vcap)
     need2 = -(-G2.order // vcap)
@@ -315,12 +294,13 @@ def min_support_bruteforce(G: GroupLike, G1: Subgroup, G2: Subgroup,
             sol = feasible_nonnegative(rows, rhs)
             if sol is not None:
                 witness = GroupFunction(G, {elems[t]: v for t, v in zip(combo, sol)})
-                assert s >= max(k1, k2)
+                if s < max(k1, k2):
+                    raise RuntimeError(f"unreachable: support {s} is below an index")
                 return MinSupportResult(s, witness)
     raise RuntimeError("unreachable: the constant function 1 is always feasible")
 
 
-def common_fundamental_domain(G: GroupLike, G1: Subgroup, G2: Subgroup) -> tuple[Element, ...]:
+def common_fundamental_domain(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup) -> tuple[Element, ...]:
     """A set meeting every G1-coset and every G2-coset exactly once.
 
     Requires equal indices; extracted from the minimal-support witness, whose
@@ -332,10 +312,11 @@ def common_fundamental_domain(G: GroupLike, G1: Subgroup, G2: Subgroup) -> tuple
         raise ValidationError(f"indices differ: {index1} != {index2}")
     result = min_support(G, G1, G2)
     domain = result.witness.support
-    assert len(domain) == index1
+    if len(domain) != index1:
+        raise RuntimeError(f"unreachable: domain of size {len(domain)} at index {index1}")
     for q in (quotient(G, G1), quotient(G, G2)):
-        reps = [q.reduce(x) for x in domain]
-        assert len(set(reps)) == len(domain)
+        if len({q[x] for x in domain}) != len(domain):
+            raise RuntimeError("unreachable: domain meets a coset twice")
     return domain
 
 
@@ -352,3 +333,28 @@ def matrix_as_cyclic_tile(A: copula_mod.CopulaMatrix) -> GroupFunction:
             if v:
                 values[(iso.to_cyclic(i, j),)] = v
     return GroupFunction(G, values)
+
+
+def discrete_to_continuous(f, m: int, n: int) -> RationalPiecewisePoly:
+    """Spread a tile of the cyclic group of order m*n into unit slabs on the
+    line: F = sum_j f(j) * 1_{[j, j+1)}.
+
+    Requires gcd(m, n) = 1 and that f tiles the subgroup generated by m at
+    level n and the one generated by n at level m; F then tiles m*Z at level n
+    and n*Z at level m, with support measure equal to f's support size.
+    """
+    m, n = int(m), int(n)
+    if m < 1 or n < 1:
+        raise ValidationError("need m, n >= 1")
+    if math.gcd(m, n) != 1:
+        raise ValidationError(f"gcd({m},{n}) != 1")
+    if not isinstance(f, GroupFunction) or f.group.orders != (m * n,):
+        raise ValidationError(f"expected a function on the cyclic group of order {m * n}")
+    G = f.group
+    for gen, lvl in (((m % (m * n),), n), ((n % (m * n),), m)):
+        H = subgroup_from_generators(G, [gen])
+        res = tiling_level(f, H)
+        if not (isinstance(res, TilingCertificate) and res.level == lvl):
+            raise ValidationError(
+                f"input does not tile the subgroup generated by {gen[0]} at level {lvl}")
+    return from_segments((j, j + 1, (f((j,)),)) for j in range(m * n) if f((j,)) != 0)

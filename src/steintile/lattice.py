@@ -297,12 +297,17 @@ def many_relations_family(p: int, d: int,
     common tile, and have volume p^(d-1); there are (p^d - 1)/(p - 1) of them.
     """
     p, d = int(p), int(d)
-    if not _is_prime(p):
+    if p < 2:
         raise ValidationError(f"{p} is not prime")
     if d < 2:
         raise ValidationError("need dimension d >= 2")
+    # checked before the trial division, whose cost grows like sqrt(p)
+    if d > cap.bit_length():
+        raise CapExceededError(f"dimension d = {d} puts p^d above enumeration cap {cap}")
     if p ** d > cap:
         raise CapExceededError(f"p^d = {p ** d} exceeds enumeration cap {cap}")
+    if not _is_prime(p):
+        raise ValidationError(f"{p} is not prime")
     G = make_group([p] * d, cap=cap)
     subs = cyclic_subgroups(G)
     lattices = []
@@ -311,7 +316,8 @@ def many_relations_family(p: int, d: int,
         rows.append(list(H.generators[0]))
         lattices.append(_from_rational_rows(rows, d))
     count = len(subs)
-    assert count == (p ** d - 1) // (p - 1)
+    if count != (p ** d - 1) // (p - 1):
+        raise RuntimeError(f"unreachable: {count} cyclic subgroups in (Z_{p})^{d}")
 
     dd_p2 = d * p * p
     root2 = _exact_root(count * count, d)

@@ -411,34 +411,6 @@ def convolution_tile(lams) -> RationalPiecewisePoly:
     return f
 
 
-def discrete_to_continuous(f, m: int, n: int) -> RationalPiecewisePoly:
-    """Spread a tile of the cyclic group of order m*n into unit slabs on the
-    line: F = sum_j f(j) * 1_{[j, j+1)}.
-
-    Requires gcd(m, n) = 1 and that f tiles the subgroup generated by m at
-    level n and the one generated by n at level m; F then tiles m*Z at level n
-    and n*Z at level m, with support measure equal to f's support size.
-    """
-    from .group_tiling import GroupFunction, TilingCertificate, tiling_level
-    from .abelian import subgroup_from_generators
-
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise ValidationError("need m, n >= 1")
-    if math.gcd(m, n) != 1:
-        raise ValidationError(f"gcd({m},{n}) != 1")
-    if not isinstance(f, GroupFunction) or f.group.orders != (m * n,):
-        raise ValidationError(f"expected a function on the cyclic group of order {m * n}")
-    G = f.group
-    for gen, lvl in (((m % (m * n),), n), ((n % (m * n),), m)):
-        H = subgroup_from_generators(G, [gen])
-        res = tiling_level(f, H)
-        if not (isinstance(res, TilingCertificate) and res.level == lvl):
-            raise ValidationError(
-                f"input does not tile the subgroup generated by {gen[0]} at level {lvl}")
-    return from_segments((j, j + 1, (f((j,)),)) for j in range(m * n) if f((j,)) != 0)
-
-
 def steinhaus_lb(alpha) -> Fraction:
     """ceil(1/alpha) * alpha: the least support measure of a nonnegative
     common tile of Z and alpha*Z, alpha in (0, 1)."""

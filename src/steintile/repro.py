@@ -134,7 +134,7 @@ def criterion_6() -> dict:
     for m, k in ((2, 1), (3, 1), (2, 2)):
         n = k * m + 1
         f = group_tiling.matrix_as_cyclic_tile(copula.construct_lmr(m, k))
-        F = pp1d.discrete_to_continuous(f, m, n)
+        F = group_tiling.discrete_to_continuous(f, m, n)
         stats = pp1d.support_stats(F)
         lev_m = pp1d.tiling_level_1d(F, m)
         lev_n = pp1d.tiling_level_1d(F, n)
@@ -171,7 +171,7 @@ def criterion_7() -> dict:
             else:
                 f = group_tiling.matrix_as_cyclic_tile(
                     copula.construct_lmr(m, (n - 1) // m))
-            F = pp1d.discrete_to_continuous(f, m, n)
+            F = group_tiling.discrete_to_continuous(f, m, n)
             tiles["discrete"] = pp1d.support_stats(F).measure / m
         case_ok = all(measure >= bound for measure in tiles.values())
         cases.append({"alpha": format_rational(alpha),

@@ -1,4 +1,5 @@
 import json
+import time
 
 from steintile import cli
 
@@ -195,3 +196,108 @@ def test_group_min_support_with_trivial_subgroups():
                         "--g1", "[]", "--g2", "[]"])
     assert rr.exit_code == 0
     assert doc["result"]["S"] == 4
+
+
+def timed_run(argv):
+    start = time.perf_counter()
+    rr = cli.run(argv)
+    return rr, time.perf_counter() - start
+
+
+_W12 = ('{"group":[12,2],"values":[{"at":[0,0],"v":"4"},{"at":[0,1],"v":"4"},'
+        '{"at":[2,0],"v":"2"},{"at":[2,1],"v":"2"},{"at":[5,0],"v":"2"},'
+        '{"at":[5,1],"v":"2"},{"at":[7,0],"v":"4"},{"at":[7,1],"v":"4"}]}')
+_Z6 = '{"group":[6],"values":[{"at":[0],"v":"2"},{"at":[1],"v":"1"},{"at":[4],"v":"1"}]}'
+
+# (argv, document) pairs pinned byte for byte: witnesses, both tile-check
+# verdicts, a cap refusal and a validation refusal.
+GROUP_GOLDEN = [
+    (["group", "min-support", "--orders", "12,2", "--g1", "[[2,1]]", "--g2", "[[3,0]]"],
+     '{"exit_code":0,"params":{"cap":8,"g1":[[2,1]],"g2":[[3,0]],"orders":[12,2]},'
+     '"result":{"S":8,"witness":' + _W12 + '},"subcommand":"group min-support"}'),
+    (["group", "min-support", "--orders", "6,4", "--g1", "[[1,2]]", "--g2", "[[2,1]]"],
+     '{"exit_code":0,"params":{"cap":8,"g1":[[1,2]],"g2":[[2,1]],"orders":[6,4]},'
+     '"result":{"S":4,"witness":{"group":[6,4],"values":[{"at":[0,0],"v":"6"},'
+     '{"at":[0,1],"v":"6"},{"at":[1,0],"v":"6"},{"at":[1,1],"v":"6"}]}},'
+     '"subcommand":"group min-support"}'),
+    (["group", "min-support", "--orders", "6,4", "--g1", "[[1,2]]", "--g2", "[[2,1]]",
+      "--cap", "3"],
+     '{"exit_code":3,"params":{},"result":{"error":"reduced subgroup orders (2,4) exceed '
+     'the margin-search cap 3","kind":"cap"},"subcommand":"error"}'),
+    (["group", "cfd", "--orders", "6,6", "--g1", "[[1,1]]", "--g2", "[[1,5]]"],
+     '{"exit_code":0,"params":{"g1":[[1,1]],"g2":[[1,5]],"orders":[6,6]},"result":'
+     '{"domain":[[0,0],[0,1],[1,3],[1,4],[2,0],[2,1]],"size":6},"subcommand":"group cfd"}'),
+    (["group", "cfd", "--orders", "4,2", "--g1", "[[1,0]]", "--g2", "[[0,1]]"],
+     '{"exit_code":2,"params":{},"result":{"error":"indices differ: 2 != 4",'
+     '"kind":"validation"},"subcommand":"error"}'),
+    (["group", "tile-check", "--function", _W12, "--gens", "[[2,1]]"],
+     '{"exit_code":0,"params":{"gens":[[2,1]],"orders":[12,2]},"result":{"level":"6",'
+     '"normalized":true,"tiles":true},"subcommand":"group tile-check"}'),
+    (["group", "tile-check", "--function", _W12, "--gens", "[[4,0]]"],
+     '{"exit_code":0,"params":{"gens":[[4,0]],"orders":[12,2]},"result":{"sum_x":"4",'
+     '"sum_y":"2","tiles":false,"witness_x":[0,0],"witness_y":[1,0]},'
+     '"subcommand":"group tile-check"}'),
+    (["group", "tile-check", "--function", _Z6, "--gens", "[[2]]"],
+     '{"exit_code":0,"params":{"gens":[[2]],"orders":[6]},"result":{"sum_x":"3",'
+     '"sum_y":"1","tiles":false,"witness_x":[0],"witness_y":[1]},'
+     '"subcommand":"group tile-check"}'),
+]
+
+
+def test_group_documents_golden():
+    for argv, expected in GROUP_GOLDEN:
+        assert cli.render(cli.run(argv)) == expected
+
+
+def test_non_integer_json_numbers_are_refused():
+    cases = [
+        ["group", "tile-check", "--gens", "[[1.7]]", "--function",
+         '{"group":[4.5],"values":[{"at":[0.9],"v":"1"}]}'],
+        ["group", "tile-check", "--gens", "[[1]]", "--function",
+         '{"group":[4],"values":[{"at":[true],"v":"1"}]}'],
+        ["group", "tile-check", "--gens", "[[1.0]]", "--function",
+         '{"group":[4],"values":[{"at":[1],"v":"1"}]}'],
+        ["group", "min-support", "--orders", "4,2", "--g1", "[[1.5,0]]", "--g2", "[]"],
+        ["group", "cfd", "--orders", "4,2", "--g1", "[[false,1]]", "--g2", "[]"],
+        ["group", "tile-check", "--gens", "[]", "--function",
+         '{"group":"26","values":[{"at":[1,5],"v":"1"}]}'],
+        ["group", "tile-check", "--gens", "[]", "--function",
+         '{"group":[2,6],"values":[{"at":"15","v":"1"}]}'],
+    ]
+    for argv in cases:
+        rr = cli.run(argv)
+        assert rr.exit_code == 2, argv
+        assert json.loads(cli.render(rr))["result"]["kind"] == "validation"
+    # ints and decimal-integer strings keep working
+    rr, doc = run_json(["group", "tile-check", "--gens", '[["2"]]', "--function",
+                        '{"group":["4"],"values":[{"at":["1"],"v":"1"},{"at":[2],"v":"1"}]}'])
+    assert rr.exit_code == 0
+    assert doc["params"] == {"gens": [[2]], "orders": [4]}
+    assert doc["result"] == {"level": "1", "normalized": False, "tiles": True}
+
+
+def test_density_multiples_window_below_moduli():
+    rr, seconds = timed_run(["density", "multiples", "-N", str(10**9), "-X", "10"])
+    assert rr.exit_code == 0
+    assert rr.result["sieve_count"] == 0
+    assert seconds < 1
+
+
+def test_many_relations_cap_comes_before_primality():
+    # p = 10^14 + 31 is prime; p^2 is far above the cap, so no trial division runs
+    for p, d in ((10**14 + 31, 2), (10**14, 2), (2, 10**9)):
+        rr, seconds = timed_run(["lattice", "many-relations", "-p", str(p), "-d", str(d)])
+        assert rr.exit_code == 3, (p, d)
+        assert seconds < 1
+    assert cli.run(["lattice", "many-relations", "-p", "4", "-d", "2"]).exit_code == 2
+    assert cli.run(["lattice", "many-relations", "-p", "3", "-d", "1"]).exit_code == 2
+
+
+def test_copula_table_closed_form_and_cell_cap():
+    rr, seconds = timed_run(["copula", "table", "--max-m", "1", "--max-n", "2000"])
+    assert rr.exit_code == 0
+    assert rr.result["table"][0]["values"] == list(range(1, 2001))
+    assert seconds < 1
+    rr = cli.run(["copula", "table", "--max-m", "1", "--max-n", str(10**7)])
+    assert rr.exit_code == 3
+    assert json.loads(cli.render(rr))["result"]["kind"] == "cap"

@@ -5,7 +5,7 @@ import pytest
 
 from steintile import copula, make_group, subgroup_from_generators
 from steintile import group_tiling as gt
-from steintile.abelian import quotient
+from steintile.abelian import cyclic_subgroups, quotient
 from steintile.errors import CapExceededError, ValidationError
 
 
@@ -54,11 +54,10 @@ def test_mass_level_identity():
     # level = mass * |H| / |G| whenever the periodization is constant
     rng = random.Random(3)
     G = make_group([2, 4])
-    from steintile.abelian import cyclic_subgroups
     for H in cyclic_subgroups(G):
-        Q = quotient(G, H)
+        red = quotient(G, H)
         values = {}
-        for rep in Q.representatives:
+        for rep in sorted(set(red.values())):
             level_share = Fraction(rng.randrange(1, 5))
             members = sorted(G.add(rep, h) for h in H.elements)
             values[members[0]] = level_share
@@ -73,16 +72,15 @@ def test_project_tile_full_collapse():
     full = subgroup_from_generators(G, [(1,)])
     f = gt.GroupFunction(G, {(x,): 1 for x in range(3)})
     proj = gt.project_tile(f, full, full)
-    assert proj.quotient.order == 1
-    assert proj.function.values == {(0,): Fraction(1)}
+    assert proj.group == G
+    assert proj.values == {(0,): Fraction(3)}
 
 
 def test_project_tile_trivial_kernel_keeps_function():
     G, G1, G2 = factor_pair(2, 3)
     f = gt.GroupFunction(G, {x: 1 for x in G.elements()})
     proj = gt.project_tile(f, G1, G2)
-    assert proj.quotient.order == G.order
-    assert proj.function.values == f.values
+    assert proj == f
 
 
 def test_project_tile_rejects_non_tiling():
@@ -97,45 +95,22 @@ def test_project_lift_roundtrip_z4xz2():
     G1 = subgroup_from_generators(G, [(1, 0)])
     G2 = subgroup_from_generators(G, [(2, 0), (0, 1)])
     res = gt.min_support(G, G1, G2)
-    proj = gt.project_tile(res.witness, G1, G2)
-    # quotient is the four-group; optimal support there is 2 (checked against
-    # the brute-force oracle below)
-    assert proj.quotient.order == 4
-    assert proj.function.support_size == 2
-    oracle = gt.min_support_bruteforce(proj.quotient, proj.sub1, proj.sub2)
+    # a witness spread over a whole intersection coset collapses back onto
+    # the least member of each coset, where it still tiles
+    K = subgroup_from_generators(G, [(2, 0)])
+    spread = gt.GroupFunction(G, {G.add(x, k): v / K.order
+                                  for x, v in res.witness.values.items()
+                                  for k in K.elements})
+    assert spread.support_size == K.order * res.S
+    proj = gt.project_tile(spread, G1, G2)
+    assert proj == res.witness
+    # optimal support on G is 2, checked against the brute-force oracle on G
+    assert proj.support_size == 2
+    oracle = gt.min_support_bruteforce(G, G1, G2)
     assert oracle.S == 2
-
-    lifted = gt.lift_tile(proj.function, G, proj.quotient.kernel)
-    assert lifted.support_size == proj.function.support_size
     for H in (G1, G2):
-        cert = gt.tiling_level(lifted, H)
+        cert = gt.tiling_level(proj, H)
         assert isinstance(cert, gt.TilingCertificate) and cert.normalized
-
-
-def test_lift_tile_trivial_cases():
-    G = make_group([3])
-    full = subgroup_from_generators(G, [(1,)])
-    Q = quotient(G, full)
-    F = gt.GroupFunction(Q, {Q.zero: 1})
-    f = gt.lift_tile(F, G, full)
-    assert f.values == {(0,): Fraction(3)}
-    cert = gt.tiling_level(f, full)
-    assert cert.normalized and cert.level == 3
-
-    trivial = subgroup_from_generators(G, [])
-    Q = quotient(G, trivial)
-    F = gt.GroupFunction(Q, {(0,): 2, (2,): 1})
-    assert gt.lift_tile(F, G, trivial).values == F.values
-
-
-def test_lift_tile_mismatch_rejected():
-    G = make_group([4])
-    other = make_group([8])
-    K = subgroup_from_generators(G, [(2,)])
-    Q = quotient(G, K)
-    F = gt.GroupFunction(Q, {(0,): 1, (1,): 1})
-    with pytest.raises(ValidationError):
-        gt.lift_tile(F, other, subgroup_from_generators(other, [(2,)]))
 
 
 def test_multiple_construction_z2_z4():

@@ -108,7 +108,7 @@ def test_convolution_tile():
 
 def test_discrete_to_continuous_staircase():
     f = gt.matrix_as_cyclic_tile(copula.construct_lmr(2, 1))
-    Fc = pp1d.discrete_to_continuous(f, 2, 3)
+    Fc = gt.discrete_to_continuous(f, 2, 3)
     st = pp1d.support_stats(Fc)
     assert st.measure == 4 and st.diameter == 6
     assert pp1d.tiling_level_1d(Fc, 2).level == 3
@@ -118,13 +118,13 @@ def test_discrete_to_continuous_staircase():
 def test_discrete_to_continuous_trivial_row():
     G = make_group([5])
     f = gt.GroupFunction(G, {(x,): 1 for x in range(5)})
-    Fc = pp1d.discrete_to_continuous(f, 1, 5)
+    Fc = gt.discrete_to_continuous(f, 1, 5)
     assert Fc == pp1d.indicator(0, 5)
 
 
 def test_discrete_to_continuous_one_less_than_convolution():
     f = gt.matrix_as_cyclic_tile(copula.construct_lmr(3, 1))
-    Fc = pp1d.discrete_to_continuous(f, 3, 4)
+    Fc = gt.discrete_to_continuous(f, 3, 4)
     conv = pp1d.convolution_tile([3, 4])
     assert pp1d.support_stats(Fc).measure == 6
     assert pp1d.support_stats(conv).measure == 7
@@ -134,9 +134,9 @@ def test_discrete_to_continuous_rejects():
     G = make_group([6])
     f = gt.GroupFunction(G, {(0,): 1})
     with pytest.raises(ValidationError):
-        pp1d.discrete_to_continuous(f, 2, 3)  # does not tile
+        gt.discrete_to_continuous(f, 2, 3)  # does not tile
     with pytest.raises(ValidationError):
-        pp1d.discrete_to_continuous(f, 2, 4)  # gcd != 1
+        gt.discrete_to_continuous(f, 2, 4)  # gcd != 1
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
@@ -144,7 +144,7 @@ def test_discrete_to_continuous_rejects():
 def test_discrete_to_continuous_staircase_family(m, k):
     n = k * m + 1
     f = gt.matrix_as_cyclic_tile(copula.construct_lmr(m, k))
-    Fc = pp1d.discrete_to_continuous(f, m, n)
+    Fc = gt.discrete_to_continuous(f, m, n)
     assert pp1d.support_stats(Fc).measure == f.support_size == (k + 1) * m
     assert pp1d.tiling_level_1d(Fc, m).level == n
     assert pp1d.tiling_level_1d(Fc, n).level == m
