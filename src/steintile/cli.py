@@ -20,6 +20,9 @@ from .abelian import make_group, subgroup_from_generators
 from .errors import CapExceededError, ValidationError
 from .rationals import format_rational, parse_rational
 
+# bound on lattices * --verify-samples, the points many-relations checks
+VERIFY_POINT_CAP = 10**5
+
 
 @dataclass
 class RunResult:
@@ -93,9 +96,11 @@ def _group_with_subgroups(args):
     return G, G1, G2
 
 
-def _pp_summary(f: pp1d.RationalPiecewisePoly, lams=None) -> dict:
+def _pp_summary(f: pp1d.RationalPiecewisePoly, levels) -> dict:
+    """The function, its mass and support, and its tiling level for each
+    result of tiling_level_1d in levels (None where it does not tile)."""
     stats = pp1d.support_stats(f)
-    out = {
+    return {
         "function": f.to_json(),
         "mass": format_rational(f.mass()),
         "support": {
@@ -103,15 +108,11 @@ def _pp_summary(f: pp1d.RationalPiecewisePoly, lams=None) -> dict:
             "diameter": format_rational(stats.diameter),
             "hull": None if stats.hull is None else [format_rational(v) for v in stats.hull],
         },
-    }
-    if lams:
-        levels = {}
-        for lam in lams:
-            res = pp1d.tiling_level_1d(f, lam)
-            levels[format_rational(lam)] = (
+        "levels": {
+            format_rational(res.lam): (
                 format_rational(res.level) if isinstance(res, pp1d.TilingLevel1D) else None)
-        out["levels"] = levels
-    return out
+            for res in levels},
+    }
 
 
 def _tiling_result_json(res) -> dict:
@@ -266,9 +267,9 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
 
     if cmd == "pp1d" and act == "conv-tile":
         lams = _parse_rational_list(args.lambdas)
-        f = pp1d.convolution_tile(lams)
+        f, levels = pp1d.convolution_tile(lams)
         params = {"lambdas": [format_rational(v) for v in lams]}
-        return params, _pp_summary(f, lams), (
+        return params, _pp_summary(f, levels), (
             pp1d.sample_csv(f, args.samples_per_unit) if args.csv else None)
 
     if cmd == "pp1d" and act == "d2c":
@@ -285,7 +286,7 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
             f = group_tiling.matrix_as_cyclic_tile(copula.construct_lmr(args.m, args.k))
             params = {"m": m, "k": args.k, "n": n, "source": "staircase"}
         F = group_tiling.discrete_to_continuous(f, m, n)
-        out = _pp_summary(F, [Fraction(m), Fraction(n)])
+        out = _pp_summary(F, [pp1d.tiling_level_1d(F, m), pp1d.tiling_level_1d(F, n)])
         out["source_values"] = f.to_json()
         return params, out, (pp1d.sample_csv(F, args.samples_per_unit) if args.csv else None)
 
@@ -305,6 +306,13 @@ def _dispatch(args) -> tuple[dict, dict, str | None]:
         return params, {"lower_bound": format_rational(pp1d.steinhaus_lb(alpha))}, None
 
     if cmd == "lattice" and act == "many-relations":
+        if args.verify_samples < 0:
+            raise ValidationError(f"--verify-samples must be >= 0, got {args.verify_samples}")
+        count = lattice.many_relations_count(args.p, args.d)
+        if count * args.verify_samples > VERIFY_POINT_CAP:
+            raise CapExceededError(
+                f"{count} lattices x {args.verify_samples} samples exceed "
+                f"verify-point cap {VERIFY_POINT_CAP}")
         fam = lattice.many_relations_family(args.p, args.d)
         params = {"p": args.p, "d": args.d, "verify_samples": args.verify_samples}
         result = {

@@ -11,14 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
-from .abelian import DEFAULT_ENUMERATION_CAP, Subgroup, cyclic_subgroups, make_group
+from .abelian import DEFAULT_ENUMERATION_CAP, cyclic_subgroups, make_group
 from .errors import CapExceededError, ValidationError
 from .rationals import format_rational
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+# bound on count * d^2, the basis entries a many-relations family holds
+FAMILY_ENTRY_CAP = 10**6
 
 
 def _xgcd(a: int, b: int):
@@ -213,32 +217,37 @@ class Box:
 
 def box_tiling_multiplicity(L: RationalLattice, box: Box, x) -> int:
     """Number of lattice points lam with x - lam inside the box, counted
-    exactly by bounding the HNF coefficients axis by axis."""
+    exactly by bounding the HNF coefficients axis by axis. Everything is
+    scaled to integers: x and the sides by den * s, the HNF by s, where s is
+    the common denominator of x and the sides."""
     d = L.dimension
     if box.dimension != d:
         raise ValidationError("box dimension mismatch")
     x = [Fraction(v) for v in x]
     if len(x) != d:
         raise ValidationError("point dimension mismatch")
-    den, H = L.denominator, L.hnf
+    s = math.lcm(*(v.denominator for v in x), *(a.denominator for a in box.sides))
+    den = L.denominator * s
+    X = [v.numerator * (den // v.denominator) for v in x]
+    A = [a.numerator * (den // a.denominator) for a in box.sides]
+    H = [[v * s for v in row] for row in L.hnf]
 
     count = 0
     # lam_i in (x_i - a_i, x_i]; row i is the first contributing coordinate i
-    stack = [(0, [_F0] * d, )]
+    stack = [(0, [0] * d)]
     while stack:
         i, partial = stack.pop()
         hii = H[i][i]
-        upper = (x[i] * den - partial[i]) / hii
-        lower = ((x[i] - box.sides[i]) * den - partial[i]) / hii
-        c_lo = math.floor(lower) + 1
-        c_hi = math.floor(upper)
+        c_hi = (X[i] - partial[i]) // hii
+        c_lo = (X[i] - A[i] - partial[i]) // hii + 1
         if i == d - 1:
             count += max(0, c_hi - c_lo + 1)
             continue
+        row = H[i]
         for c in range(c_lo, c_hi + 1):
             nxt = partial.copy()
             for j in range(i, d):
-                nxt[j] += c * H[i][j]
+                nxt[j] += c * row[j]
             stack.append((i + 1, nxt))
     return count
 
@@ -266,7 +275,7 @@ class ManyRelationsFamily:
     d: int
     count: int
     lattices: tuple[RationalLattice, ...]
-    subgroups: tuple[Subgroup, ...]
+    directions: tuple[tuple[int, ...], ...]
     common_tile: Box
     scaled: ScaledFamily
 
@@ -290,12 +299,9 @@ def _exact_root(value: int, k: int) -> int | None:
     return None
 
 
-def many_relations_family(p: int, d: int,
-                          cap: int = DEFAULT_ENUMERATION_CAP) -> ManyRelationsFamily:
-    """One lattice per nontrivial cyclic subgroup G of (Z_p)^d: the preimage
-    (p*Z)^d + G. All of them contain (p*Z)^d, share the box [0,p)^d as a
-    common tile, and have volume p^(d-1); there are (p^d - 1)/(p - 1) of them.
-    """
+def many_relations_count(p: int, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    """Validate (p, d) for many_relations_family and return its lattice
+    count (p^d - 1)/(p - 1), the number of lines of (F_p)^d."""
     p, d = int(p), int(d)
     if p < 2:
         raise ValidationError(f"{p} is not prime")
@@ -306,18 +312,53 @@ def many_relations_family(p: int, d: int,
         raise CapExceededError(f"dimension d = {d} puts p^d above enumeration cap {cap}")
     if p ** d > cap:
         raise CapExceededError(f"p^d = {p ** d} exceeds enumeration cap {cap}")
+    count = (p ** d - 1) // (p - 1)
+    if count * d * d > FAMILY_ENTRY_CAP:
+        raise CapExceededError(
+            f"{count} lattices of {d}x{d} entries exceed entry cap {FAMILY_ENTRY_CAP}")
     if not _is_prime(p):
         raise ValidationError(f"{p} is not prime")
-    G = make_group([p] * d, cap=cap)
-    subs = cyclic_subgroups(G)
-    lattices = []
-    for H in subs:
-        rows = [[p if i == j else 0 for j in range(d)] for i in range(d)]
-        rows.append(list(H.generators[0]))
-        lattices.append(_from_rational_rows(rows, d))
-    count = len(subs)
-    if count != (p ** d - 1) // (p - 1):
-        raise RuntimeError(f"unreachable: {count} cyclic subgroups in (Z_{p})^{d}")
+    return count
+
+
+def _projective_points(p: int, d: int):
+    """The lines of (F_p)^d, each by its point whose first nonzero coordinate
+    is 1, in lexicographic order."""
+    for i in range(d - 1, -1, -1):
+        lead = (0,) * i + (1,)
+        for tail in product(range(p), repeat=d - 1 - i):
+            yield lead + tail
+
+
+def projective_points_by_enumeration(p: int, d: int) -> list[tuple[int, ...]]:
+    """Test oracle for _projective_points: the generator that cyclic_subgroups
+    keeps for each line, found by closing a subgroup around every element."""
+    return [H.generators[0] for H in cyclic_subgroups(make_group([p] * d))]
+
+
+def _direction_lattice(p: int, v: Sequence[int]) -> RationalLattice:
+    """Canonical form of (p*Z)^d + Z*v for v with leading coordinate 1 and
+    entries in [0, p): v replaces the row p*e_i at its leading position i,
+    which is already the Hermite normal form."""
+    d = len(v)
+    i = next(k for k, a in enumerate(v) if a)
+    rows = tuple(tuple(v) if j == i else tuple(p if k == j else 0 for k in range(d))
+                 for j in range(d))
+    return RationalLattice(d, 1, rows)
+
+
+def many_relations_family(p: int, d: int,
+                          cap: int = DEFAULT_ENUMERATION_CAP) -> ManyRelationsFamily:
+    """One lattice per line of (F_p)^d with direction v: the preimage
+    (p*Z)^d + Z*v. All of them contain (p*Z)^d, share the box [0,p)^d as a
+    common tile, and have volume p^(d-1); there are (p^d - 1)/(p - 1) of them.
+    """
+    count = many_relations_count(p, d, cap)
+    p, d = int(p), int(d)
+    directions = tuple(_projective_points(p, d))
+    lattices = tuple(_direction_lattice(p, v) for v in directions)
+    if len(lattices) != count:
+        raise RuntimeError(f"unreachable: {len(lattices)} lines in (F_{p})^{d}")
 
     dd_p2 = d * p * p
     root2 = _exact_root(count * count, d)
@@ -338,8 +379,8 @@ def many_relations_family(p: int, d: int,
     )
     return ManyRelationsFamily(
         p=p, d=d, count=count,
-        lattices=tuple(lattices),
-        subgroups=subs,
+        lattices=lattices,
+        directions=directions,
         common_tile=Box(tuple(Fraction(p) for _ in range(d))),
         scaled=scaled,
     )

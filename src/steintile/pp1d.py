@@ -396,19 +396,22 @@ def support_stats(f: RationalPiecewisePoly) -> SupportStats:
     return SupportStats(measure, hull_hi - hull_lo, (hull_lo, hull_hi))
 
 
-def convolution_tile(lams) -> RationalPiecewisePoly:
-    """Convolution of the indicators of [0, lam_j); tiles lam_j*Z for every j."""
+def convolution_tile(lams) -> tuple[RationalPiecewisePoly, tuple[TilingLevel1D, ...]]:
+    """Convolution of the indicators of [0, lam_j); tiles lam_j*Z for every j.
+    Returns the tile and its verified level on each lam_j*Z, in input order."""
     lams = [Fraction(v) for v in lams]
     if not lams or any(v <= 0 for v in lams):
         raise ValidationError("need at least one positive period")
     f = indicator(0, lams[0])
     for lam in lams[1:]:
         f = convolve(f, indicator(0, lam))
+    levels = []
     for lam in lams:
         res = tiling_level_1d(f, lam)
         if not isinstance(res, TilingLevel1D):
             raise RuntimeError(f"convolution tile failed to tile {lam}Z")
-    return f
+        levels.append(res)
+    return f, tuple(levels)
 
 
 def steinhaus_lb(alpha) -> Fraction:

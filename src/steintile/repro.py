@@ -138,7 +138,7 @@ def criterion_6() -> dict:
         stats = pp1d.support_stats(F)
         lev_m = pp1d.tiling_level_1d(F, m)
         lev_n = pp1d.tiling_level_1d(F, n)
-        conv = pp1d.support_stats(pp1d.convolution_tile([m, n])).measure
+        conv = pp1d.support_stats(pp1d.convolution_tile([m, n])[0]).measure
         case_ok = (stats.measure == (k + 1) * m
                    and isinstance(lev_m, pp1d.TilingLevel1D) and lev_m.level == n
                    and isinstance(lev_n, pp1d.TilingLevel1D) and lev_n.level == m
@@ -161,7 +161,7 @@ def criterion_7() -> dict:
     for alpha in alphas:
         bound = pp1d.steinhaus_lb(alpha)
         tiles = {"convolution": pp1d.support_stats(
-            pp1d.convolution_tile([1, alpha])).measure}
+            pp1d.convolution_tile([1, alpha])[0]).measure}
         m, n = alpha.numerator, alpha.denominator
         # staircase tile of m*Z and n*Z when n = km+1, rescaled to Z and alpha*Z
         if m == 1 or (n - 1) % m == 0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -291,6 +292,56 @@ def test_many_relations_cap_comes_before_primality():
         assert seconds < 1
     assert cli.run(["lattice", "many-relations", "-p", "4", "-d", "2"]).exit_code == 2
     assert cli.run(["lattice", "many-relations", "-p", "3", "-d", "1"]).exit_code == 2
+
+
+def test_many_relations_entry_cap_exits_3():
+    # count * d^2 > 10^6 although p^d is within the 10^6 enumeration cap
+    for p, d in ((2, 13), (2, 19), (3, 10), (3, 12), (5, 8), (7, 7)):
+        rr, seconds = timed_run(["lattice", "many-relations", "-p", str(p), "-d", str(d)])
+        assert rr.exit_code == 3, (p, d)
+        assert "entry cap" in rr.result["error"]
+        assert seconds < 1
+    assert cli.run(["lattice", "many-relations", "-p", "2", "-d", "12"]).exit_code == 0
+
+
+def test_many_relations_verify_samples_validated(monkeypatch):
+    rr = cli.run(["lattice", "many-relations", "-p", "3", "-d", "2", "--verify-samples", "-4"])
+    assert rr.exit_code == 2
+    assert rr.result["kind"] == "validation"
+
+    def no_family(*args, **kwargs):
+        raise AssertionError("a family was built before the verify-point cap")
+
+    monkeypatch.setattr(cli.lattice, "many_relations_family", no_family)
+    # 9507 lattices x 11 samples and 4095 x 25 are above the 10^5 point cap
+    for p, d, samples in ((97, 3, 11), (2, 12, 25)):
+        rr = cli.run(["lattice", "many-relations", "-p", str(p), "-d", str(d),
+                      "--verify-samples", str(samples)])
+        assert rr.exit_code == 3, (p, d, samples)
+        assert "verify-point cap" in rr.result["error"]
+
+
+# sha256 prefixes of documents rendered by the cyclic-subgroup route and the
+# conv-tile that folded every period twice; the current routes must match them
+MANY_RELATIONS_AND_CONV_TILE_GOLDEN = [
+    (["lattice", "many-relations", "-p", "31", "-d", "3"], "6f925f37d7ac0b34"),
+    (["lattice", "many-relations", "-p", "13", "-d", "3", "--verify-samples", "1"],
+     "2db87d8279f33bb1"),
+    (["pp1d", "conv-tile", "--lambdas", "3/2,7/5,12/7,1,13/11,5/3"], "5a47c2cf8eb62c65"),
+]
+
+
+def test_many_relations_and_conv_tile_golden():
+    for argv, prefix in MANY_RELATIONS_AND_CONV_TILE_GOLDEN:
+        text = cli.render(cli.run(argv))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix, argv
+
+
+def test_many_relations_large_family_is_fast():
+    rr, seconds = timed_run(["lattice", "many-relations", "-p", "97", "-d", "3"])
+    assert rr.exit_code == 0
+    assert rr.result["count"] == 97 ** 2 + 97 + 1
+    assert seconds < 2
 
 
 def test_copula_table_closed_form_and_cell_cap():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -104,6 +106,30 @@ def test_many_relations_rejects():
         lat.many_relations_family(101, 3, cap=10**6)
 
 
+def test_directions_and_lattices_equal_the_enumeration_route():
+    # every prime p and d >= 2 with p^d <= 2000 (so p <= 43 and d <= 10)
+    primes = [p for p in range(2, 45) if all(p % q for q in range(2, p))]
+    cases = [(p, d) for p in primes for d in range(2, 11) if p ** d <= 2000]
+    for p, d in cases:
+        fam = lat.many_relations_family(p, d)
+        assert list(fam.directions) == lat.projective_points_by_enumeration(p, d), (p, d)
+        for v, L in zip(fam.directions, fam.lattices):
+            rows = [[p if i == j else 0 for j in range(d)] for i in range(d)] + [list(v)]
+            assert L == lat._from_rational_rows(rows, d), (p, v)
+
+
+def test_many_relations_entry_cap():
+    # the largest d per prime with count * d^2 <= 10^6; one more is refused
+    # (test_cli checks the refusals of every prime edge)
+    for p, d in ((2, 12), (3, 9), (5, 7), (7, 6)):
+        with pytest.raises(CapExceededError, match="entry cap"):
+            lat.many_relations_count(p, d + 1)
+        assert lat.many_relations_count(p, d) == (p ** d - 1) // (p - 1)
+    # composite p whose family would exceed the entry cap: cap before primality
+    with pytest.raises(CapExceededError):
+        lat.many_relations_count(4, 9)
+
+
 def test_box_validation_and_stats():
     with pytest.raises(ValidationError):
         lat.Box((1, 0))
@@ -122,8 +148,8 @@ def test_box_tiling_multiplicity_diagonal_subgroup():
     fam = lat.many_relations_family(3, 2)
     box = lat.Box((3, 3))
     target = None
-    for H, L in zip(fam.subgroups, fam.lattices):
-        if (1, 1) in H.elements:
+    for v, L in zip(fam.directions, fam.lattices):
+        if v == (1, 1):
             target = L
     assert target is not None
     assert lat.box_tiling_multiplicity(target, box, [F(1, 2), F(1, 2)]) == 3
@@ -135,6 +161,28 @@ def test_box_tiling_multiplicity_half_open_boundary():
     # lam in (x-1, x]: exactly one integer for any rational x
     for x in (0, 1, F(1, 2), F(-7, 3)):
         assert lat.box_tiling_multiplicity(Z1, box, [x]) == 1
+
+
+def _brute_force_multiplicity(L, box, x):
+    """Points lam of L with x - lam in the box, found by testing every point
+    of the grid (1/den)Z^d inside the box (x - a, x]."""
+    den = L.denominator
+    ranges = []
+    for xi, ai in zip(x, box.sides):
+        lo = math.floor((xi - ai) * den) + 1
+        hi = math.floor(xi * den)
+        ranges.append(range(lo, hi + 1))
+    return sum(L.contains([F(k, den) for k in ks]) for ks in itertools.product(*ranges))
+
+
+def test_box_tiling_multiplicity_equals_brute_force():
+    rng = random.Random(7)
+    for i in range(150):
+        d = 1 + i % 3
+        L = _random_lattice(rng, d)
+        box = lat.Box(tuple(F(rng.randrange(1, 5), rng.randrange(1, 4)) for _ in range(d)))
+        x = [F(rng.randrange(-12, 13), rng.randrange(1, 6)) for _ in range(d)]
+        assert lat.box_tiling_multiplicity(L, box, x) == _brute_force_multiplicity(L, box, x)
 
 
 def test_box_convolution_stats():

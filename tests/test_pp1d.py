@@ -96,14 +96,21 @@ def test_support_stats():
 
 
 def test_convolution_tile():
-    f = pp1d.convolution_tile([1, F(2, 3)])
+    f, _ = pp1d.convolution_tile([1, F(2, 3)])
     st = pp1d.support_stats(f)
     assert st.measure == F(5, 3)
     assert pp1d.tiling_level_1d(f, 1).level == F(2, 3)
     assert pp1d.tiling_level_1d(f, F(2, 3)).level == 1
-    tri = pp1d.convolution_tile([1, 1, 1])
+    tri, _ = pp1d.convolution_tile([1, 1, 1])
     assert max(len(p) for p in tri.pieces) == 3  # quadratic pieces
     assert pp1d.tiling_level_1d(tri, 1).level == 1
+
+
+def test_convolution_tile_returns_its_verified_levels():
+    lams = [F(3, 2), 1, F(3, 2), F(5, 7)]
+    f, levels = pp1d.convolution_tile(lams)
+    assert levels == tuple(pp1d.tiling_level_1d(f, lam) for lam in lams)
+    assert [res.level for res in levels] == [F(15, 14), F(45, 28), F(15, 14), F(9, 4)]
 
 
 def test_discrete_to_continuous_staircase():
@@ -125,7 +132,7 @@ def test_discrete_to_continuous_trivial_row():
 def test_discrete_to_continuous_one_less_than_convolution():
     f = gt.matrix_as_cyclic_tile(copula.construct_lmr(3, 1))
     Fc = gt.discrete_to_continuous(f, 3, 4)
-    conv = pp1d.convolution_tile([3, 4])
+    conv, _ = pp1d.convolution_tile([3, 4])
     assert pp1d.support_stats(Fc).measure == 6
     assert pp1d.support_stats(conv).measure == 7
 
@@ -210,7 +217,7 @@ def test_random_titchmarsh_diameter_additivity():
 
 
 def test_serialization_roundtrip():
-    f = pp1d.convolution_tile([1, F(2, 3)])
+    f, _ = pp1d.convolution_tile([1, F(2, 3)])
     assert pp1d.RationalPiecewisePoly.from_json(f.to_json()) == f
     doc = pp1d.indicator(0, 1).to_json()
     assert doc == [{"from": "0", "to": "1", "coeffs": ["1"]}]
