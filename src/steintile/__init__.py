@@ -11,7 +11,6 @@ from .abelian import (
     cyclic_subgroups,
     make_group,
     quotient,
-    subgroup_calculus,
     subgroup_from_generators,
 )
 from .copula import (

@@ -58,35 +58,39 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [parse_rational(v) for v in str(text).split(",") if v.strip() != ""]
 
 
+def _decode_json(text: str, message: str):
+    """json.loads, with malformed text and nesting too deep to decode both
+    reported as invalid input."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(message) from exc
+
+
 def _parse_element_list(text: str) -> list[tuple]:
     """A JSON list of lists; the group's check() validates the coordinates."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed element list {text!r}") from exc
+    doc = _decode_json(text, f"malformed element list {text!r}")
     if not isinstance(doc, list) or not all(isinstance(e, list) for e in doc):
         raise ValidationError(f"malformed element list {text!r}")
     return [tuple(e) for e in doc]
 
 
 def _parse_matrix(text: str) -> list[list[Fraction]]:
+    doc = _decode_json(text, f"malformed matrix {text!r}")
     try:
-        doc = json.loads(text)
         return [[parse_rational(v) for v in row] for row in doc]
-    except (json.JSONDecodeError, TypeError) as exc:
+    except TypeError as exc:
         raise ValidationError(f"malformed matrix {text!r}") from exc
 
 
 def _load_json_arg(text: str):
     """Accept inline JSON or a path to a JSON file."""
     text = text.strip()
+    message = f"not valid JSON or a readable file: {text[:60]!r}"
     if not text.startswith(("[", "{")) and os.path.exists(text):
         with open(text, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON or a readable file: {text[:60]!r}") from exc
+            return _decode_json(fh.read(), message)
+    return _decode_json(text, message)
 
 
 def _group_with_subgroups(args):

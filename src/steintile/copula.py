@@ -59,17 +59,22 @@ def validate(entries, m: int, n: int) -> CopulaMatrix:
     if len(entries) != m or any(len(row) != n for row in entries):
         raise ValidationError(f"expected a {m}x{n} matrix")
     mat = tuple(tuple(Fraction(v) for v in row) for row in entries)
-    for i, row in enumerate(mat):
+    # margins are summed as integer numerators over the common denominator
+    den = math.lcm(*(v.denominator for row in mat for v in row))
+    nums = [[v.numerator * (den // v.denominator) for v in row] for row in mat]
+    for i, row in enumerate(nums):
         for j, v in enumerate(row):
             if v < 0:
-                raise ValidationError(f"entry ({i},{j}) is negative: {v}")
+                raise ValidationError(f"entry ({i},{j}) is negative: {mat[i][j]}")
         s = sum(row)
-        if s != n:
-            raise ValidationError(f"row {i} sums to {format_rational(s)}, expected {n}")
-    for j in range(n):
-        s = sum(mat[i][j] for i in range(m))
-        if s != m:
-            raise ValidationError(f"column {j} sums to {format_rational(s)}, expected {m}")
+        if s != n * den:
+            raise ValidationError(
+                f"row {i} sums to {format_rational(Fraction(s, den))}, expected {n}")
+    for j, col in enumerate(zip(*nums)):
+        s = sum(col)
+        if s != m * den:
+            raise ValidationError(
+                f"column {j} sums to {format_rational(Fraction(s, den))}, expected {m}")
     return CopulaMatrix(m, n, mat)
 
 

@@ -5,8 +5,9 @@ the same constant; normalized tiling means that constant equals |H|. The
 minimal common-tile support for a pair of subgroups is computed two ways: a
 pipeline that reduces modulo the intersection and solves the margin problem
 on the direct-sum part, and an independent brute-force oracle that enumerates
-support sets and decides each by exact rational LP feasibility. Quotients are
-the coset tables of abelian.quotient; every function lives on G itself.
+support sets and decides each by exact rational LP feasibility. Cosets are
+named by their least members, which Subgroup.reduce computes from the
+subgroup's Hermite normal form; every function lives on G itself.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Mapping, Union
 
 from . import copula as copula_mod
@@ -22,6 +23,8 @@ from .abelian import (
     Element,
     FiniteAbelianGroup,
     Subgroup,
+    _closure,
+    _require_subgroups,
     crt_iso,
     make_group,
     quotient,
@@ -113,26 +116,35 @@ class TilingFailure:
 TilingResult = Union[TilingCertificate, TilingFailure]
 
 
+def _coset_sums(f: GroupFunction, H: Subgroup) -> dict[Element, Fraction]:
+    """The f-sum over each coset of H that meets f's support, by coset minimum."""
+    sums: dict[Element, Fraction] = {}
+    for x, v in f.values.items():
+        r = H.reduce(x)
+        sums[r] = sums.get(r, 0) + v
+    return sums
+
+
 def tiling_level(f: GroupFunction, H: Subgroup) -> TilingResult:
     """Check whether sum_{g in H} f(x-g) is constant in x.
 
     The periodized sum at x equals the plain f-sum over the coset x + H, so
-    the check sums f's support per coset of the table quotient(G, H); on
-    failure the two witnesses are the smallest coset representatives with
-    differing sums.
+    the check sums f's support per coset, keyed by the coset minimum
+    H.reduce(x); a coset without support sums to 0. On failure the two
+    witnesses are the smallest coset minima with differing sums.
     """
     G = f.group
-    if H.parent != G:
-        raise ValidationError("subgroup belongs to a different group")
-    red = quotient(G, H)
-    sums = dict.fromkeys(red.values(), Fraction(0))
-    for x, v in f.values.items():
-        sums[red[x]] += v
+    _require_subgroups(G, H)
+    sums = _coset_sums(f, H)
     x0 = G.zero  # the least representative
-    s0 = sums[x0]
-    for x, s in sums.items():
-        if s != s0:
-            return TilingFailure(H, x0, s0, x, s)
+    s0 = sums.get(x0, Fraction(0))
+    differ = [x for x, s in sums.items() if s != s0]
+    if s0 and len(sums) < H.index:
+        # the first coset minimum without a bucket comes within len(sums) + 1 steps
+        differ.append(next(x for x in H.coset_minima() if x not in sums))
+    if differ:
+        x = min(differ)
+        return TilingFailure(H, x0, s0, x, sums.get(x, Fraction(0)))
     return TilingCertificate(H, s0, s0 == H.order)
 
 
@@ -159,11 +171,7 @@ def project_tile(f: GroupFunction, G1: Subgroup, G2: Subgroup) -> GroupFunction:
     G = f.group
     _require_normalized(f, G1, "first subgroup")
     _require_normalized(f, G2, "second subgroup")
-    red = quotient(G, subgroup_intersection(G, G1, G2))
-    values: dict[Element, Fraction] = {}
-    for x, v in f.values.items():
-        values[red[x]] = values.get(red[x], Fraction(0)) + v
-    return GroupFunction(G, values)
+    return GroupFunction(G, _coset_sums(f, subgroup_intersection(G, G1, G2)))
 
 
 def multiple_construction(G1: Subgroup, G2: Subgroup) -> GroupFunction:
@@ -174,18 +182,14 @@ def multiple_construction(G1: Subgroup, G2: Subgroup) -> GroupFunction:
     with G2 at level |G2|.
     """
     G = G1.parent
-    if G2.parent != G:
-        raise ValidationError("subgroups belong to different groups")
+    _require_subgroups(G, G2)
     if subgroup_intersection(G, G1, G2).order != 1 or G1.order * G2.order != G.order:
         raise ValidationError("group is not the internal direct sum of the subgroups")
     if G2.order % G1.order != 0:
         raise ValidationError(f"|G1| = {G1.order} does not divide |G2| = {G2.order}")
-    g1s, g2s = G1.elements, G2.elements
-    values = {}
-    for j, b in enumerate(g2s):
-        a = g1s[j % G1.order]
-        values[G.add(a, b)] = Fraction(G1.order)
-    return GroupFunction(G, values)
+    g1s, g2s = _closure(G, G1.generators), _closure(G, G2.generators)
+    return GroupFunction(G, {G.add(g1s[j % len(g1s)], b): Fraction(len(g1s))
+                             for j, b in enumerate(g2s)})
 
 
 @dataclass(frozen=True)
@@ -194,9 +198,12 @@ class MinSupportResult:
     witness: GroupFunction
 
 
-def _check_pair(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup) -> None:
-    if G1.parent != G or G2.parent != G:
-        raise ValidationError("subgroups belong to a different group")
+def _transversal(H: Subgroup, K: Subgroup) -> list[Element]:
+    """The sorted K-coset minima of H, for K inside H: the K-reductions of
+    sum_i c_i a_i over 0 <= c_i < k_ii / a_ii, with a, k the two HNFs."""
+    a, k = H.hnf, K.hnf
+    return sorted(K.reduce([sum(c * row[j] for c, row in zip(cs, a)) for j in range(len(a))])
+                  for cs in product(*(range(k[i][i] // a[i][i]) for i in range(len(a)))))
 
 
 def min_support(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup,
@@ -206,29 +213,27 @@ def min_support(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup,
     Pipeline: reduce modulo K = G1 n G2 (this preserves the answer), split
     over the cosets of G1 + G2 (the tiling equations never couple different
     cosets), and solve the margin problem with m = [G1 : K], n = [G2 : K]
-    inside each coset. Everything is built in G through the coset table of
-    G/K: the witness puts |K| times the margin entry (i, j) on the least
-    member of r + t1_i + t2_j + K, where r runs over the least members of the
-    (G1 + G2)-cosets and t1, t2 are the sorted reduced elements of G1, G2.
+    inside each coset. Everything is built in G from the Hermite normal
+    forms: the witness puts |K| times the margin entry (i, j) on the least
+    member of r + t1_i + t2_j + K, where r runs over the coset minima of
+    G1 + G2 and t1, t2 are the sorted K-coset minima of G1, G2.
     The witness is re-verified against both subgroups.
     """
-    _check_pair(G, G1, G2)
+    _require_subgroups(G, G1, G2)
     K = subgroup_intersection(G, G1, G2)
     m, n = G1.order // K.order, G2.order // K.order
     if max(m, n) > copula_cap:
         raise CapExceededError(
             f"reduced subgroup orders ({m},{n}) exceed the margin-search cap {copula_cap}")
-    red = quotient(G, K)
-    t1 = sorted({red[g] for g in G1.elements})
-    t2 = sorted({red[g] for g in G2.elements})
-    reps = sorted(set(quotient(G, subgroup_sum(G, G1, G2)).values()))
+    t1, t2 = (_transversal(H, K) for H in (G1, G2))
+    reps = list(subgroup_sum(G, G1, G2).coset_minima())
     plan = copula_mod.min_support_exact(m, n, cap=copula_cap)
     S = len(reps) * plan.S
 
     values = {}
     for r in reps:
         for i, j in plan.pattern.sorted_edges:
-            x = red[G.add(r, G.add(t1[i], t2[j]))]
+            x = K.reduce([a + b + c for a, b, c in zip(r, t1[i], t2[j])])
             if x in values:
                 raise RuntimeError(f"unreachable: two margin entries land on {x}")
             values[x] = K.order * plan.witness.entries[i][j]
@@ -255,7 +260,7 @@ def min_support_bruteforce(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup,
     points than its margin forces, given that no value may exceed
     min(|G1|, |G2|)) are skipped wholesale.
     """
-    _check_pair(G, G1, G2)
+    _require_subgroups(G, G1, G2)
     N = G.order
     if N > cap:
         raise CapExceededError(f"group order {N} exceeds brute-force cap {cap}")
@@ -306,7 +311,7 @@ def common_fundamental_domain(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup)
     Requires equal indices; extracted from the minimal-support witness, whose
     support at equal indices has exactly one point per coset on both sides.
     """
-    _check_pair(G, G1, G2)
+    _require_subgroups(G, G1, G2)
     index1, index2 = G.order // G1.order, G.order // G2.order
     if index1 != index2:
         raise ValidationError(f"indices differ: {index1} != {index2}")
@@ -314,8 +319,8 @@ def common_fundamental_domain(G: FiniteAbelianGroup, G1: Subgroup, G2: Subgroup)
     domain = result.witness.support
     if len(domain) != index1:
         raise RuntimeError(f"unreachable: domain of size {len(domain)} at index {index1}")
-    for q in (quotient(G, G1), quotient(G, G2)):
-        if len({q[x] for x in domain}) != len(domain):
+    for H in (G1, G2):
+        if len({H.reduce(x) for x in domain}) != len(domain):
             raise RuntimeError("unreachable: domain meets a coset twice")
     return domain
 

@@ -2,8 +2,8 @@
 
 A lattice is stored as the unique Hermite normal form of its scaled integer
 version together with the smallest scale that clears all denominators, so two
-bases of the same lattice always canonicalize identically. Intersections are
-computed through duality: (L1 n L2)* = L1* + L2*.
+bases of the same lattice always canonicalize identically. Sums and
+intersections come from one integer HNF over a common denominator.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .abelian import DEFAULT_ENUMERATION_CAP, cyclic_subgroups, make_group
+from .abelian import (DEFAULT_ENUMERATION_CAP, _integer_hnf, _sum_and_meet, cyclic_subgroups,
+                      make_group)
 from .errors import CapExceededError, ValidationError
 from .rationals import format_rational
 
@@ -23,49 +24,6 @@ _F1 = Fraction(1)
 
 # bound on count * d^2, the basis entries a many-relations family holds
 FAMILY_ENTRY_CAP = 10**6
-
-
-def _xgcd(a: int, b: int):
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return g, x, y
-
-
-def _integer_hnf(rows: list[list[int]], d: int) -> list[list[int]]:
-    """Row-span HNF: upper triangular, positive diagonal, entries above each
-    pivot reduced modulo it. Raises on rank deficiency."""
-    work = [list(r) for r in rows if any(r)]
-    result: list[list[int]] = []
-    for col in range(d):
-        sel = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not sel:
-            raise ValidationError("generators are rank deficient (singular basis)")
-        piv = sel[0]
-        for r in sel[1:]:
-            g, x, y = _xgcd(piv[col], r[col])
-            q1, q2 = piv[col] // g, r[col] // g
-            combo = [x * a + y * b for a, b in zip(piv, r)]
-            other = [q1 * b - q2 * a for a, b in zip(piv, r)]
-            piv = combo
-            if any(other):
-                rest.append(other)
-        if piv[col] < 0:
-            piv = [-a for a in piv]
-        result.append(piv)
-        work = rest
-    for i in range(d):
-        for k in range(i):
-            q = result[k][i] // result[i][i]
-            if q:
-                result[k] = [a - q * b for a, b in zip(result[k], result[i])]
-    return result
 
 
 class RationalLattice:
@@ -124,16 +82,14 @@ def _from_rational_rows(rows, d: int) -> RationalLattice:
     rows = [[Fraction(v) for v in row] for row in rows]
     if any(len(r) != d for r in rows):
         raise ValidationError(f"expected vectors of length {d}")
-    den = 1
-    for r in rows:
-        for v in r:
-            den = den * v.denominator // math.gcd(den, v.denominator)
+    den = math.lcm(*(v.denominator for r in rows for v in r))
     int_rows = [[int(v * den) for v in r] for r in rows]
-    H = _integer_hnf(int_rows, d)
-    g = den
-    for row in H:
-        for v in row:
-            g = math.gcd(g, v)
+    return _canonical(d, den, _integer_hnf(int_rows, d))
+
+
+def _canonical(d: int, den: int, H: list[list[int]]) -> RationalLattice:
+    """The lattice spanned by the rows of H/den, for H in Hermite normal form."""
+    g = math.gcd(den, *(v for row in H for v in row))
     return RationalLattice(d, den // g, tuple(tuple(v // g for v in row) for row in H))
 
 
@@ -146,29 +102,16 @@ def make_lattice(basis) -> RationalLattice:
     return _from_rational_rows(rows, d)
 
 
-def _invert(mat: list[list[Fraction]]) -> list[list[Fraction]]:
-    d = len(mat)
-    aug = [list(row) + [_F1 if i == j else _F0 for j in range(d)] for i, row in enumerate(mat)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValidationError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [v / pval for v in aug[col]]
-        for r in range(d):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[d:] for row in aug]
-
-
 def dual(L: RationalLattice) -> RationalLattice:
-    """Inverse-transpose basis; an involution with vol(dual) = 1/vol."""
-    inv = _invert([list(row) for row in L.basis])
-    d = L.dimension
-    transposed = [[inv[j][i] for j in range(d)] for i in range(d)]
-    return _from_rational_rows(transposed, d)
+    """Inverse-transpose basis; an involution with vol(dual) = 1/vol. The
+    inverse U of the triangular HNF comes by back substitution."""
+    d, H = L.dimension, L.hnf
+    U = [[_F0] * d for _ in range(d)]
+    for j in range(d):
+        for i in range(j, -1, -1):
+            s = sum((H[i][k] * U[k][j] for k in range(i + 1, j + 1)), _F0)
+            U[i][j] = ((_F1 if i == j else _F0) - s) / H[i][i]
+    return _from_rational_rows([[L.denominator * U[j][i] for j in range(d)] for i in range(d)], d)
 
 
 @dataclass(frozen=True)
@@ -178,14 +121,14 @@ class LatticePair:
 
 
 def sum_and_intersection(L1: RationalLattice, L2: RationalLattice) -> LatticePair:
-    """Join generated by both bases; meet via (L1 n L2)* = L1* + L2*.
-    Satisfies vol(sum) * vol(intersection) = vol(L1) * vol(L2)."""
+    """Join and meet from one integer HNF of both bases scaled to a common
+    denominator. Satisfies vol(sum) * vol(intersection) = vol(L1) * vol(L2)."""
     if L1.dimension != L2.dimension:
         raise ValidationError("lattices have different dimensions")
-    d = L1.dimension
-    total = _from_rational_rows(list(L1.basis) + list(L2.basis), d)
-    meet = dual(_from_rational_rows(list(dual(L1).basis) + list(dual(L2).basis), d))
-    return LatticePair(sum=total, intersection=meet)
+    den = math.lcm(L1.denominator, L2.denominator)
+    pair = _sum_and_meet(*([[v * (den // L.denominator) for v in row] for row in L.hnf]
+                           for L in (L1, L2)))
+    return LatticePair(*(_canonical(L1.dimension, den, H) for H in pair))
 
 
 @dataclass(frozen=True)

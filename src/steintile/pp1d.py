@@ -16,13 +16,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .rationals import format_rational, parse_rational
 
 Poly = tuple[Fraction, ...]
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+CONV_PERIOD_CAP = 8  # most periods convolution_tile takes; up to 2^k breakpoints
+SAMPLE_ROW_CAP = 10**5  # most rows sample_csv writes
 
 
 def _ptrim(coeffs) -> Poly:
@@ -402,6 +405,9 @@ def convolution_tile(lams) -> tuple[RationalPiecewisePoly, tuple[TilingLevel1D, 
     lams = [Fraction(v) for v in lams]
     if not lams or any(v <= 0 for v in lams):
         raise ValidationError("need at least one positive period")
+    if len(lams) > CONV_PERIOD_CAP:
+        raise CapExceededError(
+            f"{len(lams)} periods exceed the convolution period cap {CONV_PERIOD_CAP}")
     f = indicator(0, lams[0])
     for lam in lams[1:]:
         f = convolve(f, indicator(0, lam))
@@ -429,6 +435,9 @@ def sample_csv(f: RationalPiecewisePoly, per_unit: int = 16) -> str:
         raise ValidationError("need at least one sample per unit")
     lines = ["x,value"]
     if not f.is_zero:
+        rows = math.floor((f.breakpoints[-1] - f.breakpoints[0]) * per_unit) + 1
+        if rows > SAMPLE_ROW_CAP:
+            raise CapExceededError(f"{rows} sample rows exceed the CSV row cap {SAMPLE_ROW_CAP}")
         step = Fraction(1, per_unit)
         x = f.breakpoints[0]
         while x <= f.breakpoints[-1]:

@@ -7,9 +7,23 @@ from steintile import (
     cyclic_subgroups,
     make_group,
     quotient,
-    subgroup_calculus,
     subgroup_from_generators,
 )
+from steintile.abelian import _closure, subgroup_intersection, subgroup_sum
+
+
+def members(H):
+    """The enumeration oracle: H's sorted members."""
+    return tuple(_closure(H.parent, H.generators))
+
+
+def small_groups():
+    """Every group of order <= 36 with at most 3 cyclic factors, each >= 2."""
+    out = [[a] for a in range(2, 37)]
+    out += [[a, b] for a in range(2, 19) for b in range(a, 19) if a * b <= 36]
+    out += [[a, b, c] for a in range(2, 4) for b in range(a, 9) for c in range(b, 9)
+            if a * b * c <= 36]
+    return out
 
 
 def test_make_group_orders():
@@ -30,29 +44,27 @@ def test_make_group_rejects_bad_orders():
 def test_subgroup_from_generators():
     G = make_group([8])
     H = subgroup_from_generators(G, [(2,)])
-    assert H.elements == ((0,), (2,), (4,), (6,))
+    assert members(H) == ((0,), (2,), (4,), (6,))
     G = make_group([2, 2])
     assert subgroup_from_generators(G, [(1, 0), (0, 1)]).order == 4
     G = make_group([3, 3])
     H = subgroup_from_generators(G, [(1, 1)])
-    assert H.elements == ((0, 0), (1, 1), (2, 2))
+    assert members(H) == ((0, 0), (1, 1), (2, 2))
     with pytest.raises(ValidationError):
         subgroup_from_generators(G, [(3, 0)])
 
 
 def test_subgroup_calculus_cyclic():
     G = make_group([8])
-    c = subgroup_calculus(G, subgroup_from_generators(G, [(2,)]),
-                          subgroup_from_generators(G, [(4,)]))
-    assert c.intersection.elements == ((0,), (4,))
-    assert c.sum.elements == ((0,), (2,), (4,), (6,))
-    assert (c.index1, c.index2) == (2, 4)
+    H1, H2 = subgroup_from_generators(G, [(2,)]), subgroup_from_generators(G, [(4,)])
+    assert members(subgroup_intersection(G, H1, H2)) == ((0,), (4,))
+    assert members(subgroup_sum(G, H1, H2)) == ((0,), (2,), (4,), (6,))
+    assert (H1.index, H2.index) == (2, 4)
 
     G = make_group([6])
-    c = subgroup_calculus(G, subgroup_from_generators(G, [(2,)]),
-                          subgroup_from_generators(G, [(3,)]))
-    assert c.intersection.order == 1
-    assert c.sum.order == 6
+    H1, H2 = subgroup_from_generators(G, [(2,)]), subgroup_from_generators(G, [(3,)])
+    assert subgroup_intersection(G, H1, H2).order == 1
+    assert subgroup_sum(G, H1, H2).order == 6
 
 
 def test_subgroup_calculus_enumerated():
@@ -60,18 +72,20 @@ def test_subgroup_calculus_enumerated():
     G = make_group([4, 2])
     H1 = subgroup_from_generators(G, [(1, 0)])
     H2 = subgroup_from_generators(G, [(2, 0), (0, 1)])
-    c = subgroup_calculus(G, H1, H2)
-    expected_inter = sorted(set(H1.elements) & set(H2.elements))
-    assert list(c.intersection.elements) == expected_inter
-    assert c.intersection.order == 2
-    assert c.sum.order == G.order
+    inter = subgroup_intersection(G, H1, H2)
+    assert list(members(inter)) == sorted(set(members(H1)) & set(members(H2)))
+    assert inter.order == 2
+    assert subgroup_sum(G, H1, H2).order == G.order
 
 
 def test_mismatched_parent_rejected():
     G, G2 = make_group([4]), make_group([8])
     H = subgroup_from_generators(G2, [(2,)])
+    for op in (subgroup_intersection, subgroup_sum):
+        with pytest.raises(ValidationError):
+            op(G, H, H)
     with pytest.raises(ValidationError):
-        subgroup_calculus(G, H, H)
+        quotient(G, H)
 
 
 def test_quotient_examples():
@@ -157,7 +171,7 @@ def test_lagrange_and_coset_partition():
             red = quotient(G, H)
             seen = set()
             for rep in sorted(set(red.values())):
-                coset = {G.add(rep, h) for h in H.elements}
+                coset = {G.add(rep, h) for h in members(H)}
                 assert len(coset) == H.order
                 assert all(red[c] == rep for c in coset)
                 assert not (coset & seen)
@@ -171,23 +185,71 @@ def test_product_formula():
         subs = cyclic_subgroups(G)
         for H1 in subs:
             for H2 in subs:
-                c = subgroup_calculus(G, H1, H2)
-                assert c.sum.order * c.intersection.order == H1.order * H2.order
+                total, inter = subgroup_sum(G, H1, H2), subgroup_intersection(G, H1, H2)
+                assert total.order * inter.order == H1.order * H2.order
 
 
-def test_subgroup_serialization():
+def test_subgroup_hnf_is_canonical():
     G = make_group([2, 2])
     H = subgroup_from_generators(G, [(1, 1)])
-    assert H.to_json() == [[0, 0], [1, 1]]
+    assert H.hnf == ((1, 1), (0, 2))
+    assert H == subgroup_from_generators(G, [(1, 1), (0, 0), (1, 1)])
+    assert hash(H) == hash(subgroup_from_generators(G, [(1, 1), (1, 1)]))
+    assert H != subgroup_from_generators(G, [(1, 0)])
+    G = make_group([4, 6])
+    H = subgroup_from_generators(G, [(2, 3), (0, 2)])
+    assert H == subgroup_from_generators(G, [(2, 1)])
+    assert H.hnf == ((2, 1), (0, 2)) and H.order == 6
 
 
 def test_subgroup_closure_by_enumeration():
     G = make_group([4, 6])
     H = subgroup_from_generators(G, [(2, 3), (0, 2)])
-    members = set(H.elements)
-    assert G.zero in members
-    for a in members:
-        assert G.neg(a) in members
-        for b in members:
-            assert G.add(a, b) in members
+    elems = set(members(H))
+    assert G.zero in elems
+    for a in elems:
+        assert G.neg(a) in elems
+        for b in elems:
+            assert G.add(a, b) in elems
     assert G.order % H.order == 0
+
+
+def _reduce_matches_oracle(G, H):
+    elems = members(H)
+    assert H.order == len(elems)
+    assert H.index * H.order == G.order
+    table = quotient(G, H)
+    for x in G.elements():
+        assert H.reduce(x) == table[x]
+        assert H.contains(x) == (x in elems)
+    assert list(H.coset_minima()) == sorted(set(table.values()))
+
+
+def test_reduce_and_kernel_match_enumeration():
+    # every cyclic subgroup and every pairwise sum and intersection of every
+    # group of order <= 36 with at most 3 factors, against the element sets
+    pairs = 0
+    for orders in small_groups():
+        G = make_group(orders)
+        subs = cyclic_subgroups(G)
+        for H in subs:
+            _reduce_matches_oracle(G, H)
+        for H1 in subs:
+            e1 = set(members(H1))
+            for H2 in subs:
+                e2 = set(members(H2))
+                total, inter = subgroup_sum(G, H1, H2), subgroup_intersection(G, H1, H2)
+                assert set(members(total)) == {G.add(a, b) for a in e1 for b in e2}
+                assert set(members(inter)) == e1 & e2
+                assert total == subgroup_from_generators(G, H1.generators + H2.generators)
+                _reduce_matches_oracle(G, total)
+                pairs += 1
+    assert pairs > 2000
+
+
+def test_reduce_accepts_any_integer_vector():
+    G = make_group([6, 4])
+    H = subgroup_from_generators(G, [(2, 2)])
+    for x in [(-7, 13), (100, -1), (5, 3)]:
+        y = tuple(a % d for a, d in zip(x, G.orders))
+        assert H.reduce(x) == H.reduce(y) == quotient(G, H)[y]

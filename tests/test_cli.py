@@ -352,3 +352,63 @@ def test_copula_table_closed_form_and_cell_cap():
     rr = cli.run(["copula", "table", "--max-m", "1", "--max-n", str(10**7)])
     assert rr.exit_code == 3
     assert json.loads(cli.render(rr))["result"]["kind"] == "cap"
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    deep = "[" * 20000 + "]" * 20000
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    group = ["--orders", "4", "--g1", "[[1]]", "--g2", "[[2]]"]
+    cases = [
+        ["group", "tile-check", "--function", deep, "--gens", "[[1]]"],
+        ["group", "tile-check", "--function", str(path), "--gens", "[[1]]"],
+        ["pp1d", "verify", "--function", deep, "--lam", "1"],
+        ["group", "tile-check", "--function", '{"group":[4],"values":[]}', "--gens", deep],
+        ["group", "min-support"] + group[:3] + [deep] + group[4:],
+        ["group", "cfd"] + group[:5] + [deep],
+        ["lattice", "dual", "--basis", deep],
+        ["lattice", "meet-join", "--basis1", "[[1]]", "--basis2", deep],
+    ]
+    for argv in cases:
+        rr = cli.run(argv)
+        assert rr.exit_code == 2, argv[:2]
+        assert rr.result["kind"] == "validation"
+
+
+def test_malformed_json_file_exits_2(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json", encoding="utf-8")
+    rr = cli.run(["group", "tile-check", "--function", str(path), "--gens", "[[1]]"])
+    assert rr.exit_code == 2 and rr.result["kind"] == "validation"
+
+
+def test_conv_tile_period_cap(monkeypatch):
+    from steintile import pp1d
+
+    def refuse(*args):
+        raise AssertionError("convolved before the cap check")
+
+    monkeypatch.setattr(pp1d, "convolve", refuse)
+    lams = ",".join(["1"] * (pp1d.CONV_PERIOD_CAP + 1))
+    rr = cli.run(["pp1d", "conv-tile", "--lambdas", lams])
+    assert rr.exit_code == 3 and rr.result["kind"] == "cap"
+    assert "9 periods" in rr.result["error"]
+    # an invalid period is still a validation error, whatever the count
+    rr = cli.run(["pp1d", "conv-tile", "--lambdas", lams + ",-1"])
+    assert rr.exit_code == 2
+
+
+def test_csv_sample_row_cap(monkeypatch):
+    from steintile import pp1d
+    rr = cli.run(["--csv", "pp1d", "conv-tile", "--lambdas", "1,2/3",
+                  "--samples-per-unit", "100000"])
+    assert rr.exit_code == 3 and rr.result["kind"] == "cap"
+    assert "166667 sample rows" in rr.result["error"]
+    # the row count is exact: hull [0, 2] at 4 per unit has 9 rows
+    monkeypatch.setattr(pp1d, "SAMPLE_ROW_CAP", 9)
+    argv = ["--csv", "pp1d", "conv-tile", "--lambdas", "1,1", "--samples-per-unit", "4"]
+    assert len(cli.render(cli.run(argv)).splitlines()) == 1 + 9
+    monkeypatch.setattr(pp1d, "SAMPLE_ROW_CAP", 8)
+    assert cli.run(argv).exit_code == 3
+    rr = cli.run(["--csv", "pp1d", "d2c", "-m", "2", "-k", "1", "--samples-per-unit", "4"])
+    assert rr.exit_code == 3 and rr.result["kind"] == "cap"

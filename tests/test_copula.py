@@ -150,3 +150,17 @@ def test_matrix_serialization():
     mat = copula.construct_lmr(2, 1)
     assert mat.to_json()["entries"] == [["1", "2", "0"], ["1", "0", "2"]]
     assert mat.to_csv() == "1,2,0\n1,0,2"
+
+
+def test_validate_reports_first_offending_margin_exactly():
+    from fractions import Fraction
+    third = Fraction(1, 3)
+    with pytest.raises(ValidationError, match=r"^row 1 sums to 5/3, expected 2$"):
+        copula.validate([[1, 1], [third, 4 * third]], 2, 2)
+    with pytest.raises(ValidationError, match=r"^column 1 sums to 7/3, expected 2$"):
+        copula.validate([[1, 2 * third, 4 * third], [1, 5 * third, third]], 2, 3)
+    with pytest.raises(ValidationError, match=r"^entry \(0,1\) is negative: -1/2$"):
+        copula.validate([[Fraction(5, 2), Fraction(-1, 2)], [1, 1]], 2, 2)
+    mat = copula.validate([[third, 2 * third + 1], [Fraction(5, 3), third]], 2, 2)
+    assert all(isinstance(v, Fraction) for row in mat.entries for v in row)
+    assert mat.entries[0][0] == third

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from steintile import copula, make_group, subgroup_from_generators
 from steintile import group_tiling as gt
-from steintile.abelian import cyclic_subgroups, quotient
+from steintile.abelian import _closure, cyclic_subgroups, quotient
 from steintile.errors import CapExceededError, ValidationError
 
 
@@ -59,7 +60,7 @@ def test_mass_level_identity():
         values = {}
         for rep in sorted(set(red.values())):
             level_share = Fraction(rng.randrange(1, 5))
-            members = sorted(G.add(rep, h) for h in H.elements)
+            members = sorted(G.add(rep, h) for h in _closure(G, H.generators))
             values[members[0]] = level_share
         f = gt.GroupFunction(G, values)
         res = gt.tiling_level(f, H)
@@ -100,7 +101,7 @@ def test_project_lift_roundtrip_z4xz2():
     K = subgroup_from_generators(G, [(2, 0)])
     spread = gt.GroupFunction(G, {G.add(x, k): v / K.order
                                   for x, v in res.witness.values.items()
-                                  for k in K.elements})
+                                  for k in _closure(G, K.generators)})
     assert spread.support_size == K.order * res.S
     proj = gt.project_tile(spread, G1, G2)
     assert proj == res.witness
@@ -224,3 +225,98 @@ def test_group_function_serialization_roundtrip():
     assert doc == {"group": [3, 6],
                    "values": [{"at": [0, 0], "v": "1/2"}, {"at": [2, 5], "v": "3"}]}
     assert gt.GroupFunction.from_json(doc) == f
+
+
+def _tiling_level_by_table(f, H):
+    """The coset-table route: sum f per coset of quotient(G, H); the
+    witnesses are the least coset minima with differing sums."""
+    red = quotient(f.group, H)
+    sums = dict.fromkeys(red.values(), Fraction(0))
+    for x, v in f.values.items():
+        sums[red[x]] += v
+    s0 = sums[f.group.zero]
+    for x, s in sums.items():
+        if s != s0:
+            return gt.TilingFailure(H, f.group.zero, s0, x, s)
+    return gt.TilingCertificate(H, s0, s0 == H.order)
+
+
+def _min_support_by_table(G, G1, G2):
+    """The witness of min_support built from element sets and coset tables."""
+    e1, e2 = set(_closure(G, G1.generators)), set(_closure(G, G2.generators))
+    K = subgroup_from_generators(G, sorted(e1 & e2))
+    red = quotient(G, K)
+    t1, t2 = sorted({red[g] for g in e1}), sorted({red[g] for g in e2})
+    reps = sorted(set(quotient(G, subgroup_from_generators(G, sorted(e1 | e2))).values()))
+    plan = copula.min_support_exact(len(t1), len(t2))
+    return {red[G.add(r, G.add(t1[i], t2[j]))]: len(e1 & e2) * plan.witness.entries[i][j]
+            for r in reps for i, j in plan.pattern.sorted_edges}
+
+
+def _random_subgroup(rng, G):
+    k = len(G.orders)
+    gens = [tuple(rng.randrange(d) for d in G.orders) for _ in range(rng.randint(0, k))]
+    return subgroup_from_generators(G, gens)
+
+
+def test_tiling_level_matches_table_route():
+    rng = random.Random(11)
+    for _ in range(400):
+        G = make_group([rng.randint(1, 9) for _ in range(rng.randint(1, 3))])
+        H = _random_subgroup(rng, G)
+        els = G.elements()
+        if rng.random() < 0.5:
+            # a tile: one value per coset minimum of a random subgroup, spread
+            values = {}
+            for rep in sorted(set(quotient(G, H).values())):
+                values[rep] = Fraction(rng.randint(1, 3))
+        else:
+            values = {x: Fraction(rng.randint(0, 3), rng.randint(1, 2))
+                      for x in rng.sample(els, rng.randint(0, len(els)))}
+        f = gt.GroupFunction(G, values)
+        for K in (H, _random_subgroup(rng, G)):
+            assert gt.tiling_level(f, K) == _tiling_level_by_table(f, K)
+
+
+def test_min_support_matches_table_route():
+    rng = random.Random(12)
+    for _ in range(300):
+        G = make_group([rng.randint(1, 9) for _ in range(rng.randint(1, 3))])
+        G1, G2 = _random_subgroup(rng, G), _random_subgroup(rng, G)
+        if max(G1.order, G2.order) // gt.subgroup_intersection(G, G1, G2).order > 8:
+            continue
+        assert gt.min_support(G, G1, G2).witness.values == _min_support_by_table(G, G1, G2)
+
+
+def test_group_commands_never_enumerate(monkeypatch):
+    from steintile import abelian, cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration on the fast path")
+
+    for target, name in ((abelian, "_closure"), (gt, "_closure"), (abelian, "quotient"),
+                         (gt, "quotient"), (abelian.FiniteAbelianGroup, "elements")):
+        monkeypatch.setattr(target, name, refuse)
+    cases = [("60,60,20", "[[1,0,0],[0,0,4]]", "[[1,0,0],[0,10,0]]"),
+             ("6,4", "[[2,0]]", "[[0,1],[3,2]]"),
+             ("4,4", "[[1,1]]", "[[1,3]]")]
+    for orders, g1, g2 in cases:
+        rr = cli.run(["group", "min-support", "--orders", orders, "--g1", g1, "--g2", g2])
+        assert rr.exit_code == 0
+        for gens in (g1, g2):
+            chk = cli.run(["group", "tile-check", "--function",
+                           json.dumps(rr.result["witness"]), "--gens", gens])
+            assert chk.exit_code == 0 and chk.result["normalized"] is True
+    assert rr.result["S"] == 4
+    assert cli.run(["group", "cfd", "--orders", "4,4", "--g1", "[[1,1]]",
+                    "--g2", "[[1,3]]"]).result["size"] == 4
+    big = cli.run(["group", "min-support", "--orders", "60,60,20",
+                   "--g1", cases[0][1], "--g2", cases[0][2]])
+    assert big.result["S"] == 400
+    fn = {"group": [60, 60, 20], "values": [{"at": [0, 0, 0], "v": "1"}]}
+    miss = cli.run(["group", "tile-check", "--function", json.dumps(fn),
+                    "--gens", cases[0][1]])
+    assert miss.result == {"tiles": False, "witness_x": [0, 0, 0], "sum_x": "1",
+                           "witness_y": [0, 0, 1], "sum_y": "0"}
+    assert cli.run(["group", "cfd", "--orders", "60,60,20", "--g1", "[[1,0,0],[0,1,0]]",
+                    "--g2", "[[0,1,0],[1,0,0]]"]).result["size"] == 20

@@ -223,3 +223,19 @@ def test_random_lattice_identities():
 def test_lattice_serialization():
     L = lat.make_lattice([[2, 0], [0, F(1, 2)]])
     assert L.to_json() == {"d": 2, "basis": [["2", "0"], ["0", "1/2"]]}
+
+
+def test_sum_and_intersection_equal_the_dual_route():
+    # the kernel's meet against (L1* + L2*)*, its sum against the HNF of both bases
+    rng = random.Random(7)
+    for i in range(300):
+        d = 1 + i % 4
+        L1, L2 = _random_lattice(rng, d), _random_lattice(rng, d)
+        pair = lat.sum_and_intersection(L1, L2)
+        assert pair.sum == lat._from_rational_rows(list(L1.basis) + list(L2.basis), d)
+        assert pair.intersection == lat.dual(lat._from_rational_rows(
+            list(lat.dual(L1).basis) + list(lat.dual(L2).basis), d))
+        for v in pair.intersection.basis:
+            assert L1.contains(v) and L2.contains(v)
+        for v in L1.basis + L2.basis:
+            assert pair.sum.contains(v)
